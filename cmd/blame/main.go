@@ -24,7 +24,6 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/comm"
 	"repro/internal/compile"
 	"repro/internal/gobe"
 	"repro/internal/serve"
@@ -32,30 +31,24 @@ import (
 )
 
 func main() {
+	req := &serve.Request{}
+	finishRunFlags := serve.BindRunFlags(flag.CommandLine, req)
+	flag.Uint64Var(&req.Threshold, "threshold", 0, "PMU overflow threshold in cycles (0 = auto-scale)")
+	flag.BoolVar(&req.NoImplicit, "no-implicit", false, "disable implicit (control-dependence) transfer")
+	flag.BoolVar(&req.NoInterproc, "no-interproc", false, "disable interprocedural transfer functions")
+	flag.BoolVar(&req.Lines, "lines", false, "line-granularity attribution")
+	flag.IntVar(&req.Skid, "skid", 0, "inject PMU interrupt skid (instructions)")
+	flag.BoolVar(&req.PerLocale, "per-locale", false, "also print per-locale profiles")
+	flag.BoolVar(&req.Lint, "lint", false, "run the static diagnostics and print the blame-guided advisor view")
+	flag.IntVar(&req.SampleBuffer, "sample-buffer", 0, "bound the monitor's sample ring buffer (0 = unbounded); overruns drop samples")
 	var (
-		bench     = flag.String("bench", "", "profile a built-in benchmark")
-		threshold = flag.Uint64("threshold", 0, "PMU overflow threshold in cycles (0 = auto-scale)")
-		cores     = flag.Int("cores", 12, "simulated cores")
-		locales   = flag.Int("locales", 1, "simulated locales")
-		view      = flag.String("view", "data", "view: data | code | hybrid | all | baseline | comm")
-		limit     = flag.Int("limit", 20, "rows per view")
-		noImpl    = flag.Bool("no-implicit", false, "disable implicit (control-dependence) transfer")
-		noInter   = flag.Bool("no-interproc", false, "disable interprocedural transfer functions")
-		lineGran  = flag.Bool("lines", false, "line-granularity attribution")
-		skid      = flag.Int("skid", 0, "inject PMU interrupt skid (instructions)")
-		perLocale = flag.Bool("per-locale", false, "also print per-locale profiles")
-		jsonOut   = flag.String("json", "", "also write the profile as JSON to this file")
-		lint      = flag.Bool("lint", false, "run the static diagnostics and print the blame-guided advisor view")
-		lintJSON  = flag.Bool("lint-json", false, "print the static diagnostics as JSON and exit (no execution)")
-		static    = flag.Bool("static", false, "print the static cost engine's predicted blame and comm volume and exit (no execution)")
-		commAgg   = flag.Bool("comm-aggregate", false, "model the communication aggregation runtime (halo prefetch, run coalescing, software cache)")
-		commInsp  = flag.Bool("comm-inspector", false, "model the inspector-executor path for irregular accesses (implies -comm-aggregate)")
-		commCap   = flag.Int("comm-cache", comm.DefaultCacheCap, "per-locale software-cache capacity in elements (0 = no cache)")
-		noOwner   = flag.Bool("no-owner-computes", false, "disable owner-computes forall scheduling (chunks inherit the spawner's locale)")
-		faultSpc  = flag.String("fault-spec", "", "inject deterministic comm faults, e.g. loss=0.01,dup=0.005,delay=0.1:3xCommLatency")
-		faultSd   = flag.Uint64("fault-seed", 1, "seed for the fault injector's PRNG")
-		smpBuf    = flag.Int("sample-buffer", 0, "bound the monitor's sample ring buffer (0 = unbounded); overruns drop samples")
-		backend   = flag.String("backend", "interp", "execution backend: interp (in-process VM) or go (native-compiled runner, needs the Go toolchain)")
+		bench    = flag.String("bench", "", "profile a built-in benchmark")
+		view     = flag.String("view", "data", "view: data | code | hybrid | all | baseline | comm")
+		limit    = flag.Int("limit", 20, "rows per view")
+		jsonOut  = flag.String("json", "", "also write the profile as JSON to this file")
+		lintJSON = flag.Bool("lint-json", false, "print the static diagnostics as JSON and exit (no execution)")
+		static   = flag.Bool("static", false, "print the static cost engine's predicted blame and comm volume and exit (no execution)")
+		backend  = flag.String("backend", "interp", "execution backend: interp (in-process VM) or go (native-compiled runner, needs the Go toolchain)")
 	)
 	flag.Parse()
 
@@ -64,43 +57,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "blame:", err)
 		os.Exit(1)
 	}
-
-	req := &serve.Request{
-		Source:          src,
-		Name:            name,
-		Configs:         parseConfigs(flag.Args()),
-		Locales:         *locales,
-		Cores:           *cores,
-		View:            *view,
-		Lint:            *lint,
-		Limit:           *limit,
-		Threshold:       *threshold,
-		Skid:            *skid,
-		PerLocale:       *perLocale,
-		SampleBuffer:    *smpBuf,
-		NoImplicit:      *noImpl,
-		NoInterproc:     *noInter,
-		Lines:           *lineGran,
-		NoOwnerComputes: *noOwner,
-		FaultSpec:       *faultSpc,
-		FaultSeed:       *faultSd,
+	if err := finishRunFlags(); err != nil {
+		fmt.Fprintln(os.Stderr, "blame:", err)
+		os.Exit(1)
 	}
-	if *limit == 0 {
-		req.Limit = -1 // historical CLI meaning: -limit 0 is unlimited
-	}
+	req.Source, req.Name = src, name
+	req.Configs = parseConfigs(flag.Args())
+	req.View = *view
 	switch {
 	case *lintJSON:
 		req.View = "lint-json"
 	case *static:
 		req.View = "static"
 	}
-	if *commAgg || *commInsp {
-		req.CommAggregate = true
-		req.CommCache = *commCap
-		if *commCap <= 0 {
-			req.CommCache = -1 // 0 on the command line means "no cache"
-		}
-		req.CommInspector = *commInsp
+	req.Limit = *limit
+	if *limit == 0 {
+		req.Limit = -1 // historical CLI meaning: -limit 0 is unlimited
 	}
 	if err := req.Normalize(); err != nil {
 		fmt.Fprintln(os.Stderr, "blame:", err)
@@ -126,7 +98,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Print(out.Text)
-	if *jsonOut != "" && !*lint && out.ProfileJSON != nil {
+	if *jsonOut != "" && !req.Lint && out.ProfileJSON != nil {
 		if err := os.WriteFile(*jsonOut, out.ProfileJSON, 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "blame:", err)
 			os.Exit(1)

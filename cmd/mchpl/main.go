@@ -28,33 +28,26 @@ import (
 	"repro/gobert"
 	"repro/internal/analyze"
 	"repro/internal/benchprog"
-	"repro/internal/comm"
 	"repro/internal/compile"
-	"repro/internal/fault"
 	"repro/internal/gobe"
+	"repro/internal/serve"
 	"repro/internal/vm"
 )
 
 func main() {
+	req := &serve.Request{}
+	finishRunFlags := serve.BindRunFlags(flag.CommandLine, req)
 	var (
 		fast        = flag.Bool("fast", false, "enable the --fast optimization pipeline")
 		noChecks    = flag.Bool("no-checks", false, "elide bounds checks (--no-checks)")
-		cores       = flag.Int("cores", 12, "simulated cores per locale")
-		locales     = flag.Int("locales", 1, "simulated locales")
 		bench       = flag.String("bench", "", "run a built-in benchmark instead of a file")
 		stats       = flag.Bool("stats", false, "print run statistics")
 		dumpIR      = flag.Bool("dump-ir", false, "print the compiled IR and exit")
 		analyzeF    = flag.Bool("analyze", false, "run the static performance diagnostics and exit")
 		analyzeJSON = flag.Bool("analyze-json", false, "print the static diagnostics as JSON and exit")
 		maxCyc      = flag.Uint64("max-cycles", 10_000_000_000, "cycle budget (0 = unlimited)")
-		commAgg     = flag.Bool("comm-aggregate", false, "model the communication aggregation runtime (halo prefetch, run coalescing, software cache)")
-		commInsp    = flag.Bool("comm-inspector", false, "model the inspector-executor path for irregular accesses (implies -comm-aggregate): coalesced gathers/scatters, memoized schedules, selective replication")
-		commCap     = flag.Int("comm-cache", comm.DefaultCacheCap, "per-locale software-cache capacity in elements (0 = no cache)")
-		noOwner     = flag.Bool("no-owner-computes", false, "disable owner-computes forall scheduling (chunks inherit the spawner's locale)")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile of the compile+run to this file")
 		memProf     = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		faultSpc    = flag.String("fault-spec", "", "inject deterministic comm faults, e.g. loss=0.01,dup=0.005,delay=0.1:3xCommLatency,locale-slow=2:4x,locale-fail=3@tick500")
-		faultSd     = flag.Uint64("fault-seed", 1, "seed for the fault injector's PRNG")
 		backend     = flag.String("backend", "interp", "execution backend: interp (tree-walking VM) or go (native-compiled runner, needs the Go toolchain)")
 	)
 	flag.Parse()
@@ -113,75 +106,35 @@ func main() {
 		return
 	}
 
-	if *backend != "interp" {
-		if _, err := vm.LookupBackend(*backend); err != nil {
+	if err := finishRunFlags(); err != nil {
+		fmt.Fprintln(os.Stderr, "mchpl:", err)
+		os.Exit(1)
+	}
+	req.Configs = parseConfigs(flag.Args())
+	switch *backend {
+	case "interp":
+		cfg := req.VMConfig(res.Prog)
+		cfg.MaxCycles = *maxCyc
+		cfg.Stdout = os.Stdout
+		cfg.Fault = req.Injector()
+		st, err := vm.New(res.Prog, cfg).Run()
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "mchpl:", err)
 			os.Exit(1)
 		}
-	}
-	if *backend == "go" {
-		spec := &gobert.RunSpec{
-			Mode:            "run",
-			Cores:           *cores,
-			Locales:         *locales,
-			Configs:         parseConfigs(flag.Args()),
-			MaxCycles:       *maxCyc,
-			NoOwnerComputes: *noOwner,
-			FaultSpec:       *faultSpc,
-			FaultSeed:       *faultSd,
-		}
-		if *commAgg || *commInsp {
-			spec.CommAggregate = true
-			spec.CommCacheCap = *commCap
-			if *commCap <= 0 {
-				spec.CommCacheCap = -1
-			}
-			spec.CommInspector = *commInsp
-		}
+		finishRun(st, *stats, req.Locales)
+	case "go":
+		spec := &gobert.RunSpec{Mode: "run", MaxCycles: *maxCyc, Request: req}
 		st, err := runGoBackend(name, src, compile.Options{Fast: *fast, NoChecks: *noChecks}, spec)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mchpl:", err)
 			os.Exit(1)
 		}
-		finishRun(st, *stats, *locales)
-		return
-	}
-
-	cfg := vm.DefaultConfig()
-	cfg.NumCores = *cores
-	cfg.NumLocales = *locales
-	cfg.Stdout = os.Stdout
-	cfg.MaxCycles = *maxCyc
-	cfg.Configs = parseConfigs(flag.Args())
-	cfg.NoOwnerComputes = *noOwner
-	if *commAgg || *commInsp {
-		cfg.CommAggregate = true
-		cfg.CommCacheCap = *commCap
-		if *commCap <= 0 {
-			cfg.CommCacheCap = -1 // 0 on the command line means "no cache"
-		}
-		cfg.CommInspector = *commInsp
-	}
-	if *commAgg || *commInsp || cfg.NumLocales > 1 {
-		// The plan also powers the owner-computes violation counter, so
-		// derive it for any multi-locale run, not just aggregated ones.
-		cfg.CommPlan = analyze.CommPlan(res.Prog)
-	}
-	if *faultSpc != "" {
-		spec, err := fault.ParseSpec(*faultSpc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mchpl:", err)
-			os.Exit(1)
-		}
-		cfg.Fault = fault.NewInjector(spec, *faultSd)
-	}
-
-	st, err := vm.New(res.Prog, cfg).Run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mchpl:", err)
+		finishRun(st, *stats, req.Locales)
+	default:
+		fmt.Fprintf(os.Stderr, "mchpl: unknown backend %q (have [go interp])\n", *backend)
 		os.Exit(1)
 	}
-	finishRun(st, *stats, cfg.NumLocales)
 }
 
 // runGoBackend executes the program through the native-compiled runner

@@ -9,7 +9,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"repro/internal/analyze"
 	"repro/internal/compile"
 	"repro/internal/fault"
 	"repro/internal/serve"
@@ -33,26 +32,20 @@ type ProgramSpec struct {
 	Install func(p *Program) SliceFn
 }
 
-// RunSpec is the host-to-runner request, one JSON object on stdin.
+// RunSpec is the host-to-runner request, one JSON object on stdin. The
+// run itself is described by a serve.Request, the repository's one run
+// spec; the runner derives its VM configuration from it exactly as the
+// host does.
 type RunSpec struct {
 	// Mode selects what to execute: "run" (plain execution, mirrors
 	// cmd/mchpl) or "outcome" (the full serve.Execute pipeline, mirrors
 	// cmd/blame and the HTTP daemon).
 	Mode string `json:"mode"`
-
-	// Plain-run knobs (mirrors cmd/mchpl's config building).
-	Cores           int               `json:"cores,omitempty"`
-	Locales         int               `json:"locales,omitempty"`
-	Configs         map[string]string `json:"configs,omitempty"`
-	MaxCycles       uint64            `json:"max_cycles,omitempty"`
-	CommAggregate   bool              `json:"comm_aggregate,omitempty"`
-	CommCacheCap    int               `json:"comm_cache_cap,omitempty"`
-	CommInspector   bool              `json:"comm_inspector,omitempty"`
-	NoOwnerComputes bool              `json:"no_owner_computes,omitempty"`
-	FaultSpec       string            `json:"fault_spec,omitempty"`
-	FaultSeed       uint64            `json:"fault_seed,omitempty"`
-
-	// Outcome-mode request (must reference the runner's own program).
+	// MaxCycles is the run-mode cycle budget (0 = unlimited).
+	MaxCycles uint64 `json:"max_cycles,omitempty"`
+	// Request describes the run. Run mode reads only its run knobs (nil
+	// means the zero Request); outcome mode needs one that references
+	// the runner's own program.
 	Request *serve.Request `json:"request,omitempty"`
 }
 
@@ -79,45 +72,34 @@ type Reply struct {
 	Err    string `json:"err,omitempty"`
 }
 
-// BuildConfig translates a RunSpec into the vm.Config cmd/mchpl would
-// build for the same flags. The host's interpreter reference runs use
-// the same translation, so both backends execute under identical
-// configurations by construction.
-func BuildConfig(spec *RunSpec, prog *Program) (vm.Config, error) {
-	cfg := vm.DefaultConfig()
-	if spec.Cores > 0 {
-		cfg.NumCores = spec.Cores
+// Run executes a run-mode spec on prog in this process and encodes the
+// result as the runner protocol does. The runner and the host's
+// interpreter reference (gobe.InterpReply) both call it, so the two
+// backends run under one configuration by construction.
+func (rs *RunSpec) Run(prog *Program) *Reply {
+	req := rs.Request
+	if req == nil {
+		req = &serve.Request{}
 	}
-	if spec.Locales > 0 {
-		cfg.NumLocales = spec.Locales
+	if _, err := fault.ParseSpec(req.FaultSpec); err != nil {
+		return &Reply{Err: err.Error()}
 	}
-	cfg.MaxCycles = spec.MaxCycles
-	cfg.Configs = spec.Configs
-	cfg.NoOwnerComputes = spec.NoOwnerComputes
-	if spec.CommAggregate {
-		cfg.CommAggregate = true
-		cfg.CommCacheCap = spec.CommCacheCap
+	cfg := req.VMConfig(prog)
+	cfg.MaxCycles = rs.MaxCycles
+	cfg.Fault = req.Injector()
+	var out bytes.Buffer
+	cfg.Stdout = &out
+	start := time.Now()
+	stats, err := vm.New(prog, cfg).Run()
+	r := &Reply{Output: out.String(), WallNs: time.Since(start).Nanoseconds()}
+	if err != nil {
+		r.RunErr = err.Error()
+		return r
 	}
-	if spec.CommInspector {
-		// The inspector rides on the aggregation runtime.
-		cfg.CommAggregate = true
-		cfg.CommInspector = true
+	if r.Stats, err = json.Marshal(stats); err != nil {
+		return &Reply{Err: "encoding stats: " + err.Error()}
 	}
-	if cfg.CommAggregate || cfg.NumLocales > 1 {
-		cfg.CommPlan = analyze.CommPlan(prog)
-	}
-	if spec.FaultSpec != "" {
-		fs, err := fault.ParseSpec(spec.FaultSpec)
-		if err != nil {
-			return cfg, err
-		}
-		seed := spec.FaultSeed
-		if seed == 0 {
-			seed = 1
-		}
-		cfg.Fault = fault.NewInjector(fs, seed)
-	}
-	return cfg, nil
+	return r
 }
 
 // Main is the generated runner's entry point: read one RunSpec from
@@ -165,26 +147,9 @@ func run(spec ProgramSpec, in io.Reader) *Reply {
 
 	switch rs.Mode {
 	case "run":
-		cfg, err := BuildConfig(&rs, res.Prog)
-		if err != nil {
-			return &Reply{Err: err.Error()}
-		}
-		var out bytes.Buffer
-		cfg.Stdout = &out
-		start := time.Now()
-		stats, err := vm.New(res.Prog, cfg).Run()
-		wall := time.Since(start)
-		r := &Reply{Output: out.String(), WallNs: wall.Nanoseconds(), Compiled: CompiledUsed()}
-		if err != nil {
-			r.RunErr = err.Error()
-			return r
-		}
-		sj, err := json.Marshal(stats)
-		if err != nil {
-			return &Reply{Err: "encoding stats: " + err.Error()}
-		}
-		r.Stats = sj
-		if !r.Compiled {
+		r := rs.Run(res.Prog)
+		r.Compiled = CompiledUsed()
+		if r.Err == "" && r.RunErr == "" && !r.Compiled {
 			r.Err = "compiled backend was never dispatched (registry miss)"
 		}
 		return r

@@ -56,8 +56,10 @@ func TableAgg() (*Table, error) {
 
 	run := func(aggregate, ownerComputes bool) (*postmortem.CommProfile, vm.Stats, string, error) {
 		var out strings.Builder
+		// Explicit tweaks, not a Request's VMConfig: the study runs both
+		// sides without a comm plan.
 		bc := blame.DefaultConfig()
-		bc.VM = runConfig(cfgs)
+		bc.VM = runConfig(res.Prog, cfgs)
 		bc.VM.NumLocales = 4
 		bc.VM.Stdout = &out
 		bc.VM.CommAggregate = aggregate

@@ -76,11 +76,10 @@ func TableBackendDiff() (*Table, error) {
 	for _, w := range diffWorkloads() {
 		for _, locales := range []int{1, 2, 4} {
 			for _, m := range commModes4() {
-				spec := &gobert.RunSpec{
-					Mode: "run", Cores: 4, Locales: locales, Configs: w.cfgs,
-					MaxCycles: 20_000_000_000, CommAggregate: m.agg, CommCacheCap: m.cacheCap,
-					CommInspector: m.inspector,
-				}
+				spec := &gobert.RunSpec{Mode: "run", MaxCycles: 20_000_000_000, Request: &serve.Request{
+					Cores: 4, Locales: locales, Configs: w.cfgs,
+					CommAggregate: m.agg, CommCache: m.cacheCap, CommInspector: m.inspector,
+				}}
 				row, err := diffRunRow(w, spec, m.name, "none")
 				if err != nil {
 					return nil, fmt.Errorf("%s locales=%d comm=%s: %w", w.prog.Name, locales, m.name, err)
@@ -89,10 +88,9 @@ func TableBackendDiff() (*Table, error) {
 			}
 		}
 		// Fault injection: deterministic schedule, 2 locales, direct comm.
-		spec := &gobert.RunSpec{
-			Mode: "run", Cores: 4, Locales: 2, Configs: w.cfgs,
-			MaxCycles: 20_000_000_000, FaultSpec: diffFaultSpec, FaultSeed: 7,
-		}
+		spec := &gobert.RunSpec{Mode: "run", MaxCycles: 20_000_000_000, Request: &serve.Request{
+			Cores: 4, Locales: 2, Configs: w.cfgs, FaultSpec: diffFaultSpec, FaultSeed: 7,
+		}}
 		row, err := diffRunRow(w, spec, "direct", "loss+dup+delay")
 		if err != nil {
 			return nil, fmt.Errorf("%s fault: %w", w.prog.Name, err)
@@ -132,7 +130,7 @@ func diffRunRow(w diffWorkload, spec *gobert.RunSpec, commName, faultName string
 		}
 	}
 	return []string{
-		w.prog.Name, fmt.Sprint(spec.Locales), commName, faultName,
+		w.prog.Name, fmt.Sprint(spec.Request.Locales), commName, faultName,
 		fmt.Sprint(len(diffs)), fmt.Sprint(st.CommMessages),
 		fmt.Sprintf("%.1f", float64(interp.WallNs)/1e6),
 		fmt.Sprintf("%.1f", float64(compiled.WallNs)/1e6),
@@ -190,7 +188,7 @@ func BackendSpeedups() ([]BackendSpeedup, error) {
 	var out []BackendSpeedup
 	for _, v := range variants {
 		p := benchprog.LULESHKernel(v)
-		spec := &gobert.RunSpec{Mode: "run", Cores: 4, Locales: 1, MaxCycles: 200_000_000_000, Configs: cfgs}
+		spec := &gobert.RunSpec{Mode: "run", MaxCycles: 200_000_000_000, Request: &serve.Request{Cores: 4, Locales: 1, Configs: cfgs}}
 		interp, compiled, err := gobe.RunBoth(p.Name+".mchpl", p.Source, compile.Options{}, spec)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/analyze"
 	"repro/internal/benchprog"
 	"repro/internal/blame"
-	"repro/internal/comm"
 	"repro/internal/compile"
 	"repro/internal/ir"
 )
@@ -75,37 +74,15 @@ type timeKey struct {
 	cfgs string
 }
 
-// runShape captures the execution-shape knobs that change a profile
-// beyond (program, config consts): locale count, comm runtime mode and
-// fault injection. It is part of profKey so a shaped run can never
-// alias the default-shape cache entry — the experiment-level analogue
-// of the full-Options keys in compile.SourceCached / core.AnalyzeCached
-// (and of serve.Request.Key, which hashes the same dimensions).
-type runShape struct {
-	locales   int
-	commAgg   bool
-	commInsp  bool
-	commCache int
-	noOwner   bool
-	faultSpec string
-	faultSeed uint64
-}
-
-// defaultShape is the single-locale, comm-off, fault-free shape every
-// table experiment uses.
-func defaultShape() runShape { return runShape{locales: 1} }
-
 type profKey struct {
-	name  string
-	cfgs  string
-	shape runShape
+	name string
+	cfgs string
 }
 
 var (
 	timeMemo   memo[timeKey, float64]
 	profMemo   memo[profKey, *blame.Result]
 	reportMemo memo[*ir.Program, *analyze.Report]
-	commMemo   memo[*ir.Program, *comm.Plan]
 	predMemo   memo[string, string]
 )
 
@@ -116,15 +93,6 @@ func analysisReport(prog *ir.Program) *analyze.Report {
 		return analyze.Run(prog), nil
 	})
 	return rep
-}
-
-// commPlanFor memoizes the static comm-pattern plan per program (the VM
-// and the aggregation runtime only read it).
-func commPlanFor(prog *ir.Program) *comm.Plan {
-	plan, _ := commMemo.get(prog, func() (*comm.Plan, error) {
-		return analyze.CommPlan(prog), nil
-	})
-	return plan
 }
 
 // timedSeconds memoizes timeProgram results: unmonitored runs are
@@ -145,14 +113,8 @@ func timedSeconds(p benchprog.Program, fast bool, cfgs map[string]string) (float
 // profile runs once and feeds Fig4, Table6, Table8, the baseline and the
 // overhead tables.
 func profiled(p benchprog.Program, cfgs map[string]string) (*blame.Result, error) {
-	return profiledShaped(p, cfgs, defaultShape())
-}
-
-// profiledShaped is profiled with an explicit run shape; distinct shapes
-// get distinct cache entries.
-func profiledShaped(p benchprog.Program, cfgs map[string]string, shape runShape) (*blame.Result, error) {
-	return profMemo.get(profKey{p.Name, cfgKey(cfgs), shape}, func() (*blame.Result, error) {
-		return profileUncached(p, cfgs, shape)
+	return profMemo.get(profKey{p.Name, cfgKey(cfgs)}, func() (*blame.Result, error) {
+		return profileUncached(p, cfgs)
 	})
 }
 
@@ -161,6 +123,5 @@ func ResetMemos() {
 	timeMemo = memo[timeKey, float64]{}
 	profMemo = memo[profKey, *blame.Result]{}
 	reportMemo = memo[*ir.Program, *analyze.Report]{}
-	commMemo = memo[*ir.Program, *comm.Plan]{}
 	predMemo = memo[string, string]{}
 }

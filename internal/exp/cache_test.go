@@ -5,11 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/benchprog"
+	"repro/internal/blame"
 )
 
-// TestProfiledShapeNoAlias pins the profKey audit: a shaped run (multi-
-// locale, comm aggregation, faults) must never alias the default-shape
-// cache entry for the same (program, configs).
+// TestProfiledShapeNoAlias pins the profKey audit: the profile memo is
+// keyed by (program, canonical config consts), the only run shape the
+// tables use. Distinct config maps get distinct entries, while an equal
+// map built separately hits the existing one.
 func TestProfiledShapeNoAlias(t *testing.T) {
 	ResetMemos()
 	prog := benchprog.Halo()
@@ -19,75 +21,76 @@ func TestProfiledShapeNoAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shaped, err := profiledShaped(prog, cfgs, runShape{locales: 4, commAgg: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base == shaped {
-		t.Fatal("shaped run aliased the default-shape cache entry")
-	}
 	if base.Stats.CommMessages != 0 {
 		t.Fatalf("default shape is single-locale; saw %d comm messages", base.Stats.CommMessages)
 	}
-	if shaped.Stats.CommMessages == 0 {
-		t.Fatal("4-locale shaped run produced no comm messages")
-	}
-
-	faulted, err := profiledShaped(prog, cfgs, runShape{locales: 4, commAgg: true, faultSpec: "loss=0.05", faultSeed: 3})
+	same, err := profiled(prog, benchprog.HaloConfig{N: 64, Reps: 2}.Configs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if faulted == shaped {
-		t.Fatal("faulted run aliased the fault-free shaped entry")
+	if same != base {
+		t.Fatal("an equal config map missed the cached entry")
 	}
-	if faulted.Stats.Fault == nil || faulted.Stats.Fault.Sends == 0 {
-		t.Fatal("faulted shape ran without the injector examining any messages")
+	other, err := profiled(prog, benchprog.HaloConfig{N: 64, Reps: 3}.Configs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == base {
+		t.Fatal("distinct config maps aliased one cache entry")
+	}
+	if other.Stats.Instructions == base.Stats.Instructions {
+		t.Fatalf("distinct config maps ran the same work (%d instructions)", base.Stats.Instructions)
 	}
 }
 
-// TestProfiledShapeConcurrent interleaves default and shaped lookups
-// (run under -race in CI): each shape computes once and every caller of
-// a shape sees the same pointer.
+// TestProfiledShapeConcurrent hammers the profile memo from many
+// goroutines (run under -race in CI) with two distinct config maps: each
+// key computes once, every caller of a key sees the same pointer, and
+// the two keys never alias one entry.
 func TestProfiledShapeConcurrent(t *testing.T) {
 	ResetMemos()
 	prog := benchprog.Halo()
-	cfgs := benchprog.HaloConfig{N: 64, Reps: 2}.Configs()
-	shapes := []runShape{
-		defaultShape(),
-		{locales: 2},
-		{locales: 2, commAgg: true},
+	cfgs := []map[string]string{
+		benchprog.HaloConfig{N: 64, Reps: 2}.Configs(),
+		benchprog.HaloConfig{N: 64, Reps: 3}.Configs(),
 	}
 	const rounds = 4
-	results := make([][]interface{}, len(shapes))
-	for i := range results {
-		results[i] = make([]interface{}, rounds)
-	}
+	results := make([][]*blame.Result, len(cfgs))
 	var wg sync.WaitGroup
-	for i, sh := range shapes {
+	for i, c := range cfgs {
+		results[i] = make([]*blame.Result, rounds)
 		for r := 0; r < rounds; r++ {
 			wg.Add(1)
-			go func(i, r int, sh runShape) {
+			go func(i, r int, c map[string]string) {
 				defer wg.Done()
-				res, err := profiledShaped(prog, cfgs, sh)
+				res, err := profiled(prog, c)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				results[i][r] = res
-			}(i, r, sh)
+			}(i, r, c)
 		}
 	}
 	wg.Wait()
-	for i := range shapes {
+	if t.Failed() {
+		return
+	}
+	if n := len(profMemo.m); n != len(cfgs) {
+		t.Fatalf("memo holds %d entries for %d keys", n, len(cfgs))
+	}
+	for i := range cfgs {
 		for r := 1; r < rounds; r++ {
 			if results[i][r] != results[i][0] {
-				t.Fatalf("shape %d: round %d saw a different *blame.Result", i, r)
+				t.Fatalf("key %d: round %d saw a different *blame.Result", i, r)
 			}
 		}
-		for j := 0; j < i; j++ {
-			if results[i][0] == results[j][0] {
-				t.Fatalf("shapes %d and %d aliased one cache entry", i, j)
-			}
-		}
+	}
+	a, b := results[0][0], results[1][0]
+	if a == b {
+		t.Fatal("distinct config maps aliased one cache entry")
+	}
+	if a.Stats.Instructions == b.Stats.Instructions {
+		t.Fatalf("distinct config maps ran the same work (%d instructions)", a.Stats.Instructions)
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"repro/internal/benchprog"
 	"repro/internal/blame"
 	"repro/internal/compile"
-	"repro/internal/fault"
+	"repro/internal/serve"
 	"repro/internal/vm"
 )
 
@@ -31,19 +31,13 @@ func TableChaos() (*Table, error) {
 
 	run := func(spec string) (vm.Stats, string, error) {
 		var out strings.Builder
-		var inj *fault.Injector
-		if spec != "" {
-			s, err := fault.ParseSpec(spec)
-			if err != nil {
-				return vm.Stats{}, "", err
-			}
-			inj = fault.NewInjector(s, chaosSeed)
-		}
-		cfg := runConfig(cfgs)
+		// Explicit tweaks, not a Request's VMConfig: the study runs the
+		// aggregation runtime without a comm plan.
+		cfg := runConfig(res.Prog, cfgs)
 		cfg.NumLocales = 4
 		cfg.Stdout = &out
 		cfg.CommAggregate = true
-		cfg.Fault = inj
+		cfg.Fault = (&serve.Request{FaultSpec: spec, FaultSeed: chaosSeed}).Injector()
 		stats, err := blame.Run(res.Prog, cfg)
 		if err != nil {
 			return vm.Stats{}, "", err

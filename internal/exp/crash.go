@@ -106,10 +106,9 @@ func (r *CrashResult) fail(format string, args ...any) {
 func crashWorkload() (benchprog.Program, *gobert.RunSpec) {
 	prog := benchprog.Halo()
 	cfgs := benchprog.HaloConfig{N: 128, Reps: 2}.Configs()
-	spec := &gobert.RunSpec{
-		Mode: "run", Cores: 4, Locales: 2, Configs: cfgs,
-		MaxCycles: 20_000_000_000,
-	}
+	spec := &gobert.RunSpec{Mode: "run", MaxCycles: 20_000_000_000, Request: &serve.Request{
+		Cores: 4, Locales: 2, Configs: cfgs,
+	}}
 	return prog, spec
 }
 

@@ -13,8 +13,9 @@ import (
 	"repro/internal/benchprog"
 	"repro/internal/blame"
 	"repro/internal/compile"
-	"repro/internal/fault"
+	"repro/internal/ir"
 	"repro/internal/postmortem"
+	"repro/internal/serve"
 	"repro/internal/vm"
 )
 
@@ -72,17 +73,15 @@ func (t *Table) Cell(rowKey string, col int) (string, bool) {
 }
 
 // runConfig builds the default experiment VM config (12 cores, 1 locale,
-// 2.53 GHz — the paper's testbed).
-func runConfig(cfgs map[string]string) vm.Config {
-	cfg := vm.DefaultConfig()
-	cfg.Configs = cfgs
-	cfg.MaxCycles = 5_000_000_000
-	return cfg
+// 2.53 GHz — the paper's testbed): the run a request with only config
+// overrides describes.
+func runConfig(prog *ir.Program, cfgs map[string]string) vm.Config {
+	return (&serve.Request{Configs: cfgs}).VMConfig(prog)
 }
 
 // timeRun executes a compiled program and returns simulated seconds.
 func timeRun(res *compile.Result, cfgs map[string]string) (float64, error) {
-	cfg := runConfig(cfgs)
+	cfg := runConfig(res.Prog, cfgs)
 	stats, err := vm.New(res.Prog, cfg).Run()
 	if err != nil {
 		return 0, err
@@ -107,51 +106,15 @@ func profileProgram(p benchprog.Program, cfgs map[string]string) (*blame.Result,
 }
 
 // profileUncached is the memoized body of profileProgram.
-func profileUncached(p benchprog.Program, cfgs map[string]string, shape runShape) (*blame.Result, error) {
+func profileUncached(p benchprog.Program, cfgs map[string]string) (*blame.Result, error) {
 	res, err := p.Compile(compile.Options{})
 	if err != nil {
 		return nil, err
 	}
-	shapeConfig := func() vm.Config {
-		cfg := runConfig(cfgs)
-		if shape.locales > 1 {
-			cfg.NumLocales = shape.locales
-		}
-		if shape.commAgg {
-			cfg.CommAggregate = true
-			cfg.CommCacheCap = shape.commCache
-		}
-		cfg.CommInspector = shape.commInsp
-		cfg.NoOwnerComputes = shape.noOwner
-		if shape.locales > 1 || shape.commAgg {
-			cfg.CommPlan = commPlanFor(res.Prog)
-		}
-		return cfg
-	}
-	// Calibration run for the threshold.
-	stats, err := vm.New(res.Prog, shapeConfig()).Run()
-	if err != nil {
-		return nil, err
-	}
-	threshold := stats.TotalCycles / 4001
-	if threshold < 101 {
-		threshold = 101
-	}
-	threshold |= 1 // keep it odd, in the spirit of the paper's prime
-
 	bc := blame.DefaultConfig()
-	bc.VM = shapeConfig()
-	bc.Threshold = threshold
-	// The injector attaches after calibration so the fault schedule does
-	// not depend on the calibration run's PRNG draws.
-	if shape.faultSpec != "" {
-		spec, err := fault.ParseSpec(shape.faultSpec)
-		if err != nil {
-			return nil, err
-		}
-		bc.VM.Fault = fault.NewInjector(spec, shape.faultSeed)
-	}
-	return blame.Profile(res.Prog, bc)
+	bc.VM = runConfig(res.Prog, cfgs)
+	bc.Threshold = 0 // auto-scale, as the CLI does
+	return serve.Profile(res.Prog, &bc, nil, nil)
 }
 
 // blameRow formats a data-centric profile row for a table.

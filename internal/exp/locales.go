@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/benchprog"
 	"repro/internal/compile"
+	"repro/internal/serve"
 	"repro/internal/vm"
 )
 
@@ -39,16 +40,12 @@ func TableLocales() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan := commPlanFor(res.Prog)
 
 		run := func(nl int, ownerComputes bool) (vm.Stats, string, error) {
 			var out strings.Builder
-			cfg := runConfig(c.cfgs)
+			req := serve.Request{Configs: c.cfgs, Locales: nl, CommAggregate: true, NoOwnerComputes: !ownerComputes}
+			cfg := req.VMConfig(res.Prog)
 			cfg.Stdout = &out
-			cfg.NumLocales = nl
-			cfg.CommAggregate = true
-			cfg.CommPlan = plan
-			cfg.NoOwnerComputes = !ownerComputes
 			stats, err := vm.New(res.Prog, cfg).Run()
 			return stats, out.String(), err
 		}

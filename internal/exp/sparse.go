@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/benchprog"
 	"repro/internal/compile"
+	"repro/internal/serve"
 	"repro/internal/vm"
 )
 
@@ -37,16 +38,12 @@ func TableSparse() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		plan := commPlanFor(res.Prog)
 
 		run := func(inspector bool) (vm.Stats, string, error) {
 			var out strings.Builder
-			cfg := runConfig(c.cfgs)
+			req := serve.Request{Configs: c.cfgs, Locales: 4, CommAggregate: true, CommInspector: inspector}
+			cfg := req.VMConfig(res.Prog)
 			cfg.Stdout = &out
-			cfg.NumLocales = 4
-			cfg.CommAggregate = true
-			cfg.CommInspector = inspector
-			cfg.CommPlan = plan
 			stats, err := vm.New(res.Prog, cfg).Run()
 			return stats, out.String(), err
 		}

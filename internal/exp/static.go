@@ -49,7 +49,7 @@ func staticRun(c staticCase) (*blame.Result, *cost.Prediction, error) {
 		return nil, nil, err
 	}
 	bc := blame.DefaultConfig()
-	bc.VM = runConfig(c.Cfgs)
+	bc.VM = runConfig(res.Prog, c.Cfgs)
 	bc.VM.NumLocales = c.NL
 	bc.VM.CommAggregate = c.Agg
 	bc.VM.CommInspector = c.Insp

@@ -70,7 +70,7 @@ func TestStaticPredictionDeterministic(t *testing.T) {
 	}
 	render := func() string {
 		opts := cost.DefaultOptions()
-		opts.VM = runConfig(benchprog.DefaultHalo.Configs())
+		opts.VM = runConfig(res.Prog, benchprog.DefaultHalo.Configs())
 		opts.VM.NumLocales = 4
 		opts.VM.CommAggregate = true
 		return views.Predicted(cost.Predict(res.Prog, opts), 20)

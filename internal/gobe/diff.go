@@ -3,13 +3,13 @@ package gobe
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/gobert"
 	"repro/internal/compile"
 	"repro/internal/serve"
-	"repro/internal/vm"
 )
 
 // This file is the differential-testing surface: reference interpreter
@@ -17,9 +17,9 @@ import (
 // harness compares byte-for-byte instead of field-by-field.
 
 // InterpReply executes spec on the in-process interpreter and encodes
-// the result exactly as a runner would: same config translation
-// (gobert.BuildConfig), same stats JSON encoding. Outcome mode goes
-// through serve.Execute, the same pipeline the runner embeds.
+// the result exactly as a runner would. Run mode calls RunSpec.Run, the
+// runner's own code; outcome mode goes through serve.Execute, the same
+// pipeline the runner embeds.
 func InterpReply(name, source string, opts compile.Options, spec *gobert.RunSpec) (*gobert.Reply, error) {
 	res, err := compile.SourceCached(name, source, opts)
 	if err != nil {
@@ -27,25 +27,10 @@ func InterpReply(name, source string, opts compile.Options, spec *gobert.RunSpec
 	}
 	switch spec.Mode {
 	case "run":
-		cfg, err := gobert.BuildConfig(spec, res.Prog)
-		if err != nil {
-			return nil, err
+		r := spec.Run(res.Prog)
+		if r.Err != "" {
+			return nil, errors.New(r.Err)
 		}
-		var out bytes.Buffer
-		cfg.Stdout = &out
-		start := time.Now()
-		stats, err := vm.New(res.Prog, cfg).Run()
-		wall := time.Since(start)
-		r := &gobert.Reply{Output: out.String(), WallNs: wall.Nanoseconds()}
-		if err != nil {
-			r.RunErr = err.Error()
-			return r, nil
-		}
-		sj, err := json.Marshal(stats)
-		if err != nil {
-			return nil, err
-		}
-		r.Stats = sj
 		return r, nil
 	case "outcome":
 		if spec.Request == nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/compile"
 	"repro/internal/parser"
+	"repro/internal/serve"
 	"repro/internal/source"
 )
 
@@ -111,7 +112,7 @@ writeln(+ reduce Y);
 		}
 		// A low cycle budget keeps pathological loops fast on both sides;
 		// hitting it is itself a pinned, comparable outcome (RunErr).
-		spec := &gobert.RunSpec{Mode: "run", Cores: 4, Locales: 1, MaxCycles: 5_000_000}
+		spec := &gobert.RunSpec{Mode: "run", MaxCycles: 5_000_000, Request: &serve.Request{Cores: 4, Locales: 1}}
 		interp, compiled, err := RunBoth("fuzz.mchpl", printed, compile.Options{}, spec)
 		if err != nil {
 			// Build or harness failures are findings, not skips: every

@@ -34,8 +34,10 @@ import (
 // older vm would charge replication mid-sweep and diverge on stats.
 // v6: gobert.Main arms the crash-chaos self-SIGKILL hook — runners
 // built before it silently ignore MCHPL_RUNNER_CRASH_AFTER_US.
-// v7: a 0µs crash delay kills synchronously before Main does any work.)
-const codegenVersion = 7
+// v7: a 0µs crash delay kills synchronously before Main does any work.
+// v8: RunSpec carries its run knobs as a serve.Request — runners built
+// before it would decode the new wire with stale code and run defaults.)
+const codegenVersion = 8
 
 // maxInlineInstrs caps how large an IR function gets inline codegen.
 // Every instruction expands to ~40-50 lines of guarded Go plus a

@@ -17,7 +17,6 @@ import (
 	"repro/internal/compile"
 	"repro/internal/ir"
 	"repro/internal/serve"
-	"repro/internal/vm"
 )
 
 // ErrNoGoToolchain is returned (wrapped) when -backend=go is requested
@@ -31,9 +30,6 @@ type Runner struct {
 	Source string
 	Opts   compile.Options
 	Bin    string
-	// Prog is the host-side compile of the same source — the identical
-	// pointer the interpreter uses, which keys the backend registry.
-	Prog *ir.Program
 }
 
 // buildMemo dedupes in-process builds of the same (program, options):
@@ -46,10 +42,6 @@ type buildEntry struct {
 	r    *Runner
 	err  error
 }
-
-// progRunners maps a host-compiled program to its runner so the
-// vm.Backend implementation can resolve subprocesses from *ir.Program.
-var progRunners sync.Map // *ir.Program -> *Runner
 
 // Build code-generates, compiles and caches the runner for a program.
 // The cache is content-addressed: codegen version + compile options +
@@ -71,11 +63,7 @@ func Build(name, source string, opts compile.Options) (*Runner, error) {
 	entry.once.Do(func() {
 		entry.r, entry.err = build(res.Prog, name, source, opts, key)
 	})
-	if entry.err != nil {
-		return nil, entry.err
-	}
-	progRunners.Store(res.Prog, entry.r)
-	return entry.r, nil
+	return entry.r, entry.err
 }
 
 func cacheKey(name, source, fingerprint string, opts compile.Options) string {
@@ -88,7 +76,7 @@ func cacheKey(name, source, fingerprint string, opts compile.Options) string {
 func build(prog *ir.Program, name, source string, opts compile.Options, key string) (*Runner, error) {
 	dir := filepath.Join(cacheRoot(), key)
 	bin := filepath.Join(dir, "runner")
-	r := &Runner{Name: name, Source: source, Opts: opts, Bin: bin, Prog: prog}
+	r := &Runner{Name: name, Source: source, Opts: opts, Bin: bin}
 	if st, err := os.Stat(bin); err == nil && st.Mode().IsRegular() {
 		return r, nil // content-addressed: an existing binary is current
 	}
@@ -197,59 +185,3 @@ func (r *Runner) Outcome(req *serve.Request) (*gobert.Reply, error) {
 	req2.Source = r.Source
 	return r.Exec(&gobert.RunSpec{Mode: "outcome", Request: &req2})
 }
-
-// Backend implements vm.Backend for plain (serializable) configurations.
-// Richer runs — fault specs, profiling listeners — go through Exec and
-// Outcome, which carry those settings across the process boundary
-// explicitly.
-type Backend struct{}
-
-// Name implements vm.Backend.
-func (Backend) Name() string { return "go" }
-
-// Run implements vm.Backend: prog must have been built through
-// gobe.Build (which registers it), and cfg must be expressible as a
-// RunSpec.
-func (Backend) Run(prog *ir.Program, cfg vm.Config) (vm.Stats, error) {
-	var stats vm.Stats
-	v, ok := progRunners.Load(prog)
-	if !ok {
-		return stats, errors.New("gobe: program was not built through gobe.Build")
-	}
-	r := v.(*Runner)
-	if cfg.Listener != nil {
-		return stats, errors.New("gobe: in-process listeners cannot cross the runner boundary; use Runner.Outcome for profiled runs")
-	}
-	if cfg.Fault != nil {
-		return stats, errors.New("gobe: pass fault injection as a spec via Runner.Exec")
-	}
-	spec := &gobert.RunSpec{
-		Mode:            "run",
-		Cores:           cfg.NumCores,
-		Locales:         cfg.NumLocales,
-		Configs:         cfg.Configs,
-		MaxCycles:       cfg.MaxCycles,
-		CommAggregate:   cfg.CommAggregate,
-		CommCacheCap:    cfg.CommCacheCap,
-		CommInspector:   cfg.CommInspector,
-		NoOwnerComputes: cfg.NoOwnerComputes,
-	}
-	reply, err := r.Exec(spec)
-	if err != nil {
-		return stats, err
-	}
-	if cfg.Stdout != nil {
-		if _, err := fmt.Fprint(cfg.Stdout, reply.Output); err != nil {
-			return stats, err
-		}
-	}
-	if reply.RunErr != "" {
-		return stats, errors.New(reply.RunErr)
-	}
-	if err := json.Unmarshal(reply.Stats, &stats); err != nil {
-		return stats, fmt.Errorf("decoding runner stats: %v", err)
-	}
-	return stats, nil
-}
-
-func init() { vm.RegisterBackend(Backend{}) }

@@ -9,6 +9,7 @@ import (
 
 	"repro/gobert"
 	"repro/internal/compile"
+	"repro/internal/serve"
 )
 
 const scalarProg = `
@@ -49,7 +50,7 @@ func TestRunnerMatchesInterpreterScalar(t *testing.T) {
 		{"task.mchpl", taskProg},
 	}
 	for _, p := range progs {
-		spec := &gobert.RunSpec{Mode: "run", Cores: 4, Locales: 1, MaxCycles: 1_000_000_000}
+		spec := &gobert.RunSpec{Mode: "run", MaxCycles: 1_000_000_000, Request: &serve.Request{Cores: 4, Locales: 1}}
 		interp, compiled, err := RunBoth(p.name, p.src, compile.Options{}, spec)
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
@@ -82,7 +83,7 @@ func TestRunnerMatchesInterpreterExamples(t *testing.T) {
 		}
 		name := filepath.Base(path)
 		for _, locales := range []int{1, 2} {
-			spec := &gobert.RunSpec{Mode: "run", Cores: 4, Locales: locales, MaxCycles: 3_000_000_000}
+			spec := &gobert.RunSpec{Mode: "run", MaxCycles: 3_000_000_000, Request: &serve.Request{Cores: 4, Locales: locales}}
 			interp, compiled, err := RunBoth(name, string(b), compile.Options{}, spec)
 			if err != nil {
 				t.Fatalf("%s locales=%d: %v", name, locales, err)
@@ -106,7 +107,7 @@ func TestFastOptionsProduceDistinctRunners(t *testing.T) {
 	if r1.Bin == r2.Bin {
 		t.Fatalf("distinct compile options share a cached runner: %s", r1.Bin)
 	}
-	spec := &gobert.RunSpec{Mode: "run", Cores: 4, MaxCycles: 1_000_000_000}
+	spec := &gobert.RunSpec{Mode: "run", MaxCycles: 1_000_000_000, Request: &serve.Request{Cores: 4}}
 	interp, compiled, err := RunBoth("scalar.mchpl", scalarProg, compile.Options{Fast: true}, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +137,7 @@ func TestDistinctNamesProduceDistinctRunners(t *testing.T) {
 	// Both runners must accept run specs for their own name and agree.
 	var replies []*gobert.Reply
 	for _, r := range []*Runner{r1, r2} {
-		spec := &gobert.RunSpec{Mode: "run", Cores: 4, Locales: 1, MaxCycles: 1_000_000_000}
+		spec := &gobert.RunSpec{Mode: "run", MaxCycles: 1_000_000_000, Request: &serve.Request{Cores: 4, Locales: 1}}
 		reply, err := r.Exec(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name, err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/hpctk"
+	"repro/internal/ir"
 	"repro/internal/sampler"
 	"repro/internal/views"
 	"repro/internal/vm"
@@ -94,6 +96,35 @@ func (o *Outcome) sizeBytes() int64 {
 	return int64(len(o.Text) + len(o.ProfileJSON) + len(o.Output) + 512)
 }
 
+// Profile is the profiling sequence Execute and the experiment harness
+// share. With cfg.Threshold 0 it first calibrates: one unmonitored run,
+// then a threshold of TotalCycles/4001 (at least 101, forced odd), which
+// targets a few thousand samples where the paper's fixed large prime
+// assumes multi-second wall times. Only then is inj attached, so the
+// calibration draws nothing from the fault PRNG and the profiled run's
+// fault schedule does not depend on whether a threshold was given.
+// started, when non-nil, is called right before the profiled run.
+func Profile(prog *ir.Program, cfg *blame.Config, inj *fault.Injector, started func()) (*blame.Result, error) {
+	if cfg.Threshold == 0 {
+		cal := cfg.VM
+		cal.Stdout = io.Discard // the profiled run re-prints everything
+		st, err := vm.New(prog, cal).Run()
+		if err != nil {
+			return nil, err
+		}
+		th := st.TotalCycles / 4001
+		if th < 101 {
+			th = 101
+		}
+		cfg.Threshold = th | 1 // odd, in the spirit of the paper's prime
+	}
+	cfg.VM.Fault = inj
+	if started != nil {
+		started()
+	}
+	return blame.Profile(prog, *cfg)
+}
+
 // Execute runs one normalized request through the full pipeline and
 // renders it. cmd/blame calls this with ctl == nil; the server calls it
 // from scheduler workers with cancellation, deadline and streaming
@@ -132,11 +163,8 @@ func Execute(req *Request, ctl *RunControl) (*Outcome, error) {
 
 	var progOut bytes.Buffer
 	cfg := blame.DefaultConfig()
-	cfg.VM.NumCores = req.Cores
-	cfg.VM.NumLocales = req.Locales
+	cfg.VM = req.VMConfig(res.Prog)
 	cfg.VM.Stdout = &progOut
-	cfg.VM.MaxCycles = 10_000_000_000
-	cfg.VM.Configs = req.Configs
 	cfg.Skid = req.Skid
 	cfg.PerLocale = req.PerLocale
 	cfg.Core = core.Options{
@@ -144,17 +172,6 @@ func Execute(req *Request, ctl *RunControl) (*Outcome, error) {
 		Interprocedural:  !req.NoInterproc,
 		LineGranularity:  req.Lines,
 		TrackPaths:       true,
-	}
-	cfg.VM.NoOwnerComputes = req.NoOwnerComputes
-	if req.CommAggregate {
-		cfg.VM.CommAggregate = true
-		cfg.VM.CommCacheCap = req.CommCache
-		cfg.VM.CommInspector = req.CommInspector
-	}
-	if req.CommAggregate || req.Locales > 1 {
-		// The plan also powers the owner-computes violation counter, so
-		// derive it for any multi-locale run, not just aggregated ones.
-		cfg.VM.CommPlan = analyze.CommPlan(res.Prog)
 	}
 	if ctl != nil {
 		cfg.VM.Cancel = ctl.Cancel
@@ -175,33 +192,9 @@ func Execute(req *Request, ctl *RunControl) (*Outcome, error) {
 		return &Outcome{Text: text}, nil
 	}
 
-	if req.Threshold != 0 {
-		cfg.Threshold = req.Threshold
-	} else {
-		// Auto-scale: one calibration run, then target a few thousand
-		// samples (the paper's fixed large prime assumes multi-second
-		// wall times).
+	cfg.Threshold = req.Threshold
+	if cfg.Threshold == 0 {
 		ctl.emit(Event{Type: "phase", Phase: "calibrate"})
-		st, err := vm.New(res.Prog, cfg.VM).Run()
-		if err != nil {
-			return nil, err
-		}
-		progOut.Reset() // the profiled run re-prints everything
-		th := st.TotalCycles / 4001
-		if th < 101 {
-			th = 101
-		}
-		cfg.Threshold = th | 1
-	}
-	// The injector is attached after the calibration run: the calibration
-	// must not consume PRNG draws, or the profiled run's fault schedule
-	// would depend on whether an explicit threshold was given.
-	if req.FaultSpec != "" {
-		spec, err := fault.ParseSpec(req.FaultSpec)
-		if err != nil {
-			return nil, err
-		}
-		cfg.VM.Fault = fault.NewInjector(spec, req.FaultSeed)
 	}
 	cfg.SampleBuffer = req.SampleBuffer
 	if ctl != nil && (ctl.Emit != nil) {
@@ -209,15 +202,16 @@ func Execute(req *Request, ctl *RunControl) (*Outcome, error) {
 		if rankEvery <= 0 {
 			rankEvery = 2000
 		}
-		threshold := cfg.Threshold
 		emit := ctl.Emit
 		cfg.Wrap = func(smp *sampler.Sampler, analysis *core.Analysis) vm.Listener {
-			return newMonitor(res.Prog, analysis, smp, threshold, rankEvery, emit)
+			// Profile has settled cfg.Threshold by the time it wraps.
+			return newMonitor(res.Prog, analysis, smp, cfg.Threshold, rankEvery, emit)
 		}
 	}
 
-	ctl.emit(Event{Type: "phase", Phase: "run"})
-	r, err := blame.Profile(res.Prog, cfg)
+	r, err := Profile(res.Prog, &cfg, req.Injector(), func() {
+		ctl.emit(Event{Type: "phase", Phase: "run"})
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -21,12 +21,16 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"flag"
 	"fmt"
 	"sort"
 	"strings"
 
+	"repro/internal/analyze"
 	"repro/internal/comm"
 	"repro/internal/fault"
+	"repro/internal/ir"
+	"repro/internal/vm"
 )
 
 // Byte/size bounds protecting a long-running server from abusive
@@ -42,6 +46,11 @@ const (
 // JSON-addressable. Exactly one of Bench or Source selects the program.
 // Priority, DeadlineMs and NoCache steer scheduling only and are
 // excluded from the content-addressed cache key.
+//
+// Request is also the one run spec of the repository: VMConfig and
+// Injector are the only code that turns run knobs into VM state, for
+// the CLIs, the native runner's wire protocol and the experiment
+// harness alike.
 type Request struct {
 	// Bench names a built-in benchmark (see Benches). Mutually exclusive
 	// with Source.
@@ -158,9 +167,7 @@ func (r *Request) Normalize() error {
 	if r.Skid < 0 || r.SampleBuffer < 0 {
 		return fmt.Errorf("skid and sample_buffer must be non-negative")
 	}
-	if r.CommInspector {
-		r.CommAggregate = true
-	}
+	r.CommAggregate = r.commAggregate()
 	if r.CommAggregate && r.CommCache == 0 {
 		r.CommCache = comm.DefaultCacheCap
 	}
@@ -168,14 +175,95 @@ func (r *Request) Normalize() error {
 		if _, err := fault.ParseSpec(r.FaultSpec); err != nil {
 			return err
 		}
-		if r.FaultSeed == 0 {
-			r.FaultSeed = 1
-		}
+		r.FaultSeed = r.faultSeed()
 	}
 	if r.DeadlineMs < 0 {
 		return fmt.Errorf("deadline_ms must be non-negative")
 	}
 	return nil
+}
+
+// commAggregate reports whether the run uses the aggregation runtime:
+// the inspector–executor rides on it, so the inspector implies it.
+func (r *Request) commAggregate() bool { return r.CommAggregate || r.CommInspector }
+
+// faultSeed is the injector seed: 0 reads as 1 on every entry point.
+func (r *Request) faultSeed() uint64 {
+	if r.FaultSeed == 0 {
+		return 1
+	}
+	return r.FaultSeed
+}
+
+// VMConfig derives the VM configuration the request describes. A zero
+// field means what Normalize would fill in (12 cores, 1 locale, the
+// default cache capacity), so VMConfig gives the same result on a raw
+// request and on its normalized form. The comm plan is derived for any
+// aggregated or multi-locale run: it also powers the owner-computes
+// violation counter. Stdout, the fault injector (see Injector) and
+// cancellation are left for the caller to attach.
+func (r *Request) VMConfig(prog *ir.Program) vm.Config {
+	cfg := vm.DefaultConfig()
+	if r.Cores > 0 {
+		cfg.NumCores = r.Cores
+	}
+	if r.Locales > 0 {
+		cfg.NumLocales = r.Locales
+	}
+	cfg.MaxCycles = 10_000_000_000
+	cfg.Configs = r.Configs
+	cfg.NoOwnerComputes = r.NoOwnerComputes
+	if r.commAggregate() {
+		cfg.CommAggregate = true
+		cfg.CommCacheCap = r.CommCache
+		cfg.CommInspector = r.CommInspector
+	}
+	if cfg.CommAggregate || cfg.NumLocales > 1 {
+		cfg.CommPlan = analyze.CommPlan(prog)
+	}
+	return cfg
+}
+
+// Injector returns a fresh fault injector for the request's fault spec
+// and seed, or nil when the request injects no faults. Normalize and
+// BindRunFlags reject unparsable specs; one that skipped both also gets
+// nil.
+func (r *Request) Injector() *fault.Injector {
+	if r.FaultSpec == "" {
+		return nil
+	}
+	spec, err := fault.ParseSpec(r.FaultSpec)
+	if err != nil {
+		return nil
+	}
+	return fault.NewInjector(spec, r.faultSeed())
+}
+
+// BindRunFlags declares the run-shape flags cmd/mchpl and cmd/blame
+// share (-cores -locales -comm-aggregate -comm-inspector -comm-cache
+// -no-owner-computes -fault-spec -fault-seed) on fs, writing into r.
+// Call the returned function after fs.Parse: it applies the command-line
+// meaning of -comm-cache and validates the fault spec.
+func BindRunFlags(fs *flag.FlagSet, r *Request) func() error {
+	fs.IntVar(&r.Cores, "cores", 12, "simulated cores per locale")
+	fs.IntVar(&r.Locales, "locales", 1, "simulated locales")
+	fs.BoolVar(&r.CommAggregate, "comm-aggregate", false, "model the communication aggregation runtime (halo prefetch, run coalescing, software cache)")
+	fs.BoolVar(&r.CommInspector, "comm-inspector", false, "model the inspector-executor path for irregular accesses (implies -comm-aggregate): coalesced gathers/scatters, memoized schedules, selective replication")
+	cache := fs.Int("comm-cache", comm.DefaultCacheCap, "per-locale software-cache capacity in elements (0 = no cache)")
+	fs.BoolVar(&r.NoOwnerComputes, "no-owner-computes", false, "disable owner-computes forall scheduling (chunks inherit the spawner's locale)")
+	fs.StringVar(&r.FaultSpec, "fault-spec", "", "inject deterministic comm faults, e.g. loss=0.01,dup=0.005,delay=0.1:3xCommLatency,locale-slow=2:4x,locale-fail=3@tick500")
+	fs.Uint64Var(&r.FaultSeed, "fault-seed", 1, "seed for the fault injector's PRNG (0 reads as 1)")
+	return func() error {
+		r.CommCache = 0
+		if r.commAggregate() {
+			r.CommCache = *cache
+			if *cache <= 0 {
+				r.CommCache = -1 // 0 on the command line means "no cache"
+			}
+		}
+		_, err := fault.ParseSpec(r.FaultSpec)
+		return err
+	}
 }
 
 // Key returns the content-addressed cache key of a normalized request:

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -16,39 +17,94 @@ func normalized(t *testing.T, mutate func(*Request)) *Request {
 	return r
 }
 
-// TestRequestKeyCoversSemantics is the cache-key audit as a test: every
-// knob that changes the outcome must change the key, so no two requests
-// with different semantics can alias one cache entry.
+// schedulingOnly lists the Request fields Key deliberately ignores:
+// Priority, DeadlineMs and NoCache steer scheduling, and Bench resolves
+// into Source and Name, which are keyed.
+var schedulingOnly = map[string]bool{
+	"Priority": true, "DeadlineMs": true, "NoCache": true, "Bench": true,
+}
+
+// mutateField sets field f of r to a value that differs from its
+// normalized fig1 default and that Normalize accepts.
+func mutateField(t *testing.T, r *Request, f reflect.StructField) {
+	t.Helper()
+	v := reflect.ValueOf(r).Elem().FieldByIndex(f.Index)
+	switch f.Name {
+	case "Source", "Name":
+		// Inline the bench first: Normalize would overwrite both from it.
+		src, name, err := ResolveBench(r.Bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Bench, r.Source, r.Name = "", src, name
+		v.SetString(v.String() + "\n")
+	case "View":
+		v.SetString("code")
+	case "FaultSpec":
+		v.SetString("loss=0.01")
+	case "FaultSeed":
+		r.FaultSpec = "loss=0.01"
+		v.SetUint(42)
+	case "CommCache":
+		r.CommAggregate = true
+		v.SetInt(7)
+	case "Configs":
+		v.Set(reflect.ValueOf(map[string]string{"n": "8"}))
+	default:
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			v.SetInt(3)
+		case reflect.Uint64:
+			v.SetUint(1001)
+		case reflect.String:
+			v.SetString("other.mchpl")
+		default:
+			t.Fatalf("field %s: no mutation for kind %s", f.Name, v.Kind())
+		}
+	}
+}
+
+// TestRequestKeyCoversSemantics is the cache-key audit as a test: it
+// walks every Request field by reflection, so a new knob cannot be left
+// out of the key silently. Each field must change Key when mutated or be
+// listed in schedulingOnly; distinct fields must not alias each other.
 func TestRequestKeyCoversSemantics(t *testing.T) {
 	base := normalized(t, nil).Key()
-	variants := map[string]func(*Request){
-		"locales":        func(r *Request) { r.Locales = 4 },
-		"cores":          func(r *Request) { r.Cores = 2 },
-		"view":           func(r *Request) { r.View = "code" },
-		"lint":           func(r *Request) { r.Lint = true },
-		"limit":          func(r *Request) { r.Limit = 5 },
-		"threshold":      func(r *Request) { r.Threshold = 1001 },
-		"skid":           func(r *Request) { r.Skid = 3 },
-		"per-locale":     func(r *Request) { r.PerLocale = true },
-		"sample-buffer":  func(r *Request) { r.SampleBuffer = 64 },
-		"no-implicit":    func(r *Request) { r.NoImplicit = true },
-		"no-interproc":   func(r *Request) { r.NoInterproc = true },
-		"lines":          func(r *Request) { r.Lines = true },
-		"comm-aggregate": func(r *Request) { r.CommAggregate = true },
-		"comm-cache":     func(r *Request) { r.CommAggregate = true; r.CommCache = 7 },
-		"no-owner":       func(r *Request) { r.NoOwnerComputes = true },
-		"fault-spec":     func(r *Request) { r.FaultSpec = "loss=0.01" },
-		"fault-seed":     func(r *Request) { r.FaultSpec = "loss=0.01"; r.FaultSeed = 42 },
-		"configs":        func(r *Request) { r.Configs = map[string]string{"n": "8"} },
-		"bench":          func(r *Request) { r.Bench = "wavefront" },
-	}
 	seen := map[string]string{base: "base"}
-	for name, mutate := range variants {
-		k := normalized(t, mutate).Key()
-		if prev, dup := seen[k]; dup {
-			t.Errorf("variant %q aliased %q", name, prev)
+	rt := reflect.TypeOf(Request{})
+	for i := 0; i < rt.NumField(); i++ {
+		f := rt.Field(i)
+		if schedulingOnly[f.Name] {
+			continue
 		}
-		seen[k] = name
+		k := normalized(t, func(r *Request) { mutateField(t, r, f) }).Key()
+		if prev, dup := seen[k]; dup {
+			t.Errorf("mutating %s gives the key of %s", f.Name, prev)
+		}
+		seen[k] = f.Name
+	}
+}
+
+// TestRequestKeyPinned pins Key bytes: a journal written by an earlier
+// build replays only if the same request still hashes to the same key.
+func TestRequestKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		req  Request
+		want string
+	}{
+		{Request{Bench: "fig1"}, "6a35855df723faae44e72a9e6478445a547bbb169cafa27692af1e678153d5ec"},
+		{Request{Bench: "halo", Locales: 4, CommInspector: true}, "516f4f16ddd101e311a8af63e983838d57bd640bf8e59a11315c334d9a3a7974"},
+		{Request{Bench: "fig1", FaultSpec: "loss=0.05"}, "2c2c4239eb15798eda557f948a1500f488c55ecfe68758d628c41bcbce1858ba"},
+	} {
+		r := c.req
+		if err := r.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Key(); got != c.want {
+			t.Errorf("%s: key %s, want %s", r.Summary(), got, c.want)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package vm
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/ir"
@@ -101,60 +99,3 @@ func (m *VM) Bump(t *Task, n int, cycles uint64) {
 	m.coreOf(t).clock += cycles
 	m.totalCycles += cycles
 }
-
-// ------------------------------------------------------------- backends
-
-// Backend is one execution engine for compiled IR programs. Both
-// backends share the cost model (Config.Costs), the tasking layer, the
-// comm runtime hooks and the sampler interface; they differ only in how
-// instructions are dispatched.
-type Backend interface {
-	// Name is the -backend flag value selecting this engine.
-	Name() string
-	// Run executes prog under cfg and returns the run statistics.
-	Run(prog *ir.Program, cfg Config) (Stats, error)
-}
-
-var (
-	backendMu  sync.Mutex
-	backendReg = map[string]Backend{}
-)
-
-// RegisterBackend installs a backend under its name. The interpreter
-// registers itself as "interp"; internal/gobe registers "go".
-func RegisterBackend(b Backend) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	backendReg[b.Name()] = b
-}
-
-// LookupBackend resolves a -backend flag value. Unknown names return an
-// error listing the registered backends.
-func LookupBackend(name string) (Backend, error) {
-	backendMu.Lock()
-	defer backendMu.Unlock()
-	if b, ok := backendReg[name]; ok {
-		return b, nil
-	}
-	names := make([]string, 0, len(backendReg))
-	for n := range backendReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return nil, fmt.Errorf("unknown backend %q (have %v)", name, names)
-}
-
-// Interp is the interpreter backend: the default engine, and the
-// reference implementation every other backend is differential-tested
-// against.
-type Interp struct{}
-
-// Name implements Backend.
-func (Interp) Name() string { return "interp" }
-
-// Run implements Backend.
-func (Interp) Run(prog *ir.Program, cfg Config) (Stats, error) {
-	return New(prog, cfg).Run()
-}
-
-func init() { RegisterBackend(Interp{}) }
