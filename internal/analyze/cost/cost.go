@@ -3,6 +3,7 @@ package cost
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/absint"
 	"repro/internal/analyze"
@@ -52,8 +53,9 @@ type Prediction struct {
 	MsgsByClass map[string]int64
 	MsgsByVar   map[string]int64
 
-	// WalkOK reports whether the concrete comm walk completed; when false
-	// the comm numbers come from the closed-form site formulas instead.
+	// WalkOK reports whether the skeleton VM run that traces comm
+	// completed; when false the comm numbers come from the closed-form
+	// site formulas instead.
 	WalkOK bool
 	// Notes lists the documented approximations taken on this program.
 	Notes []string
@@ -123,10 +125,10 @@ func (p *Prediction) Diags(limit int) []analyze.Diag {
 }
 
 // Predict runs the symbolic static cost engine over prog: abstract
-// interpretation for loop trips and block frequencies, the concrete comm
-// walk for message counts, the VM's own cost table plus the executor's
+// interpretation for loop trips and block frequencies, a skeleton VM run
+// for message counts, the VM's own cost table plus the executor's
 // modeled extras for cycle mass, and the blame core's AttributeSample
-// for data-centric attribution — no execution of the program.
+// for data-centric attribution — no profiled run of the program.
 func Predict(prog *ir.Program, opts Options) *Prediction {
 	p := newPredictor(prog, opts)
 	p.bindConfigs()
@@ -140,26 +142,17 @@ func Predict(prog *ir.Program, opts Options) *Prediction {
 		MsgsByVar:   make(map[string]int64),
 	}
 
-	// Comm prediction: concrete walk when locales can disagree.
+	// Comm prediction: a skeleton VM run when locales can disagree.
 	p.commCycles = make(map[*ir.Instr]float64)
 	if p.opts.VM.NumLocales > 1 {
-		w := newWalker(p, analyze.CommPlan(prog))
-		err := w.run()
-		if err == nil {
+		if err := p.traceComm(pred); err == nil {
 			pred.WalkOK = true
-			msgs, bytes, perVar, byClass := w.stats()
-			pred.Msgs, pred.Bytes = msgs, bytes
-			pred.MsgsByVar = perVar
-			pred.MsgsByClass = byClass
-			p.commCycles = w.cyclesAt
 		} else {
 			p.note("comm walk aborted (%v): using closed-form site formulas", err)
-			fw := newWalker(p, analyze.CommPlan(prog))
-			msgs, perVar := fw.fallbackComm()
+			msgs, perVar := p.fallbackComm()
 			pred.Msgs = msgs
 			pred.MsgsByVar = perVar
 			pred.MsgsByClass["formula"] = msgs
-			p.commCycles = fw.cyclesAt
 		}
 	}
 
@@ -246,7 +239,7 @@ func (p *predictor) attribute(pred *Prediction) {
 			}
 			for _, in := range b.Instrs {
 				mass := w * p.instrMass(f, in)
-				mass += p.commCycles[in] // absolute, counted by the walker
+				mass += p.commCycles[in] // absolute, counted by the skeleton run
 				if mass <= 0 {
 					continue
 				}
@@ -359,10 +352,10 @@ func (p *predictor) instrMass(f *ir.Func, in *ir.Instr) float64 {
 func (p *predictor) builtinExtra(f *ir.Func, in *ir.Instr) float64 {
 	c := p.costs
 	name := in.Method
-	if _, ok := cutPrefix(name, "config:"); ok {
+	if strings.HasPrefix(name, "config:") {
 		return 0
 	}
-	if _, ok := cutPrefix(name, "reduce:"); ok {
+	if strings.HasPrefix(name, "reduce:") {
 		// reduceBuiltin iterates the cells locally: n x PerElem.
 		if len(in.Args) > 0 {
 			n := p.bulkSize(f, in, in.Args[len(in.Args)-1])
@@ -373,7 +366,7 @@ func (p *predictor) builtinExtra(f *ir.Func, in *ir.Instr) float64 {
 		}
 		return float64(c.PerElem)
 	}
-	if _, ok := cutPrefix(name, "atomic:"); ok {
+	if strings.HasPrefix(name, "atomic:") {
 		return float64(c.AtomicOp)
 	}
 	switch name {

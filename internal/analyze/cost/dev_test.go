@@ -4,7 +4,6 @@ import (
 	"io"
 	"testing"
 
-	"repro/internal/analyze/cost"
 	"repro/internal/benchprog"
 	"repro/internal/blame"
 	"repro/internal/compile"
@@ -27,57 +26,6 @@ func devVM(c devCase) vm.Config {
 	cfg.CommAggregate = c.agg
 	cfg.Stdout = io.Discard
 	return cfg
-}
-
-func TestDevCompare(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dev harness")
-	}
-	cases := []devCase{
-		{benchprog.Halo(), benchprog.DefaultHalo.Configs(), 4, true},
-		{benchprog.Wavefront(), benchprog.DefaultWavefront.Configs(), 4, true},
-		{benchprog.MiniMD(false), nil, 1, false},
-		{benchprog.CLOMP(false), nil, 1, false},
-		{benchprog.LULESH(benchprog.LuleshOriginal), nil, 1, false},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.prog.Name, func(t *testing.T) {
-			res, err := c.prog.Compile(compile.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			bc := blame.DefaultConfig()
-			bc.VM = devVM(c)
-			r, err := blame.Profile(res.Prog, bc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := cost.DefaultOptions()
-			opts.VM = devVM(c)
-			pred := cost.Predict(res.Prog, opts)
-
-			t.Logf("dynamic: msgs=%d bytes=%d samples=%d", r.Stats.CommMessages, r.Stats.CommBytes, r.Profile.TotalSamples)
-			t.Logf("static:  msgs=%d bytes=%d total=%.4g walk=%v", pred.Msgs, pred.Bytes, pred.TotalCycles, pred.WalkOK)
-			t.Logf("static byClass: %v", pred.MsgsByClass)
-			t.Logf("static byVar: %v", pred.MsgsByVar)
-			for i, row := range r.Profile.DataCentric {
-				if i >= 6 {
-					break
-				}
-				t.Logf("dyn %d: %-20s %6.2f%% samples=%d", i, row.Name, 100*row.Blame, row.Samples)
-			}
-			for i, row := range pred.Vars {
-				if i >= 6 {
-					break
-				}
-				t.Logf("sta %d: %-20s %6.2f%% cycles=%.4g msgs=%d", i, row.Name, 100*row.Blame, row.Cycles, row.Msgs)
-			}
-			for _, n := range pred.Notes {
-				t.Logf("note: %s", n)
-			}
-		})
-	}
 }
 
 func TestDevHaloDetail(t *testing.T) {

@@ -65,9 +65,8 @@ type Config struct {
 	// read-mostly; the next forall barrier (SweepEnd) then replicates
 	// it onto that locale. The count is per (locale, array) and the
 	// decision is taken only at barriers — never mid-sweep — so it is
-	// independent of how tasks interleave, which keeps the static cost
-	// walker (which visits chunks sequentially) in exact agreement with
-	// the VM. Values <= 0 select DefaultReplicaMinReads.
+	// independent of how tasks interleave. Values <= 0 select
+	// DefaultReplicaMinReads.
 	ReplicaMinReads int64
 }
 

@@ -28,9 +28,8 @@ import (
 //     wholesale to the reading locale (one EvReplicate per remote home)
 //     and subsequent reads hit locally. The decision is evaluated only
 //     at forall barriers (Runtime.SweepEnd), never mid-sweep: the
-//     counters a barrier sees are the same whether the sweep's tasks
-//     ran interleaved (the VM) or sequentially (the static cost
-//     walker), so both charge identical messages. Writes punch the
+//     counters a barrier sees do not depend on how the sweep's tasks
+//     interleaved, so the message count does not either. Writes punch the
 //     written element out of every other locale's replica through the
 //     regular invalidation path and reset the writer's read counter.
 //
@@ -107,9 +106,7 @@ type repKey struct {
 // array geometry stashed from the last miss so the barrier can build
 // the replica without an Access in hand. Keying by locale (rather than
 // globally) makes the trigger independent of how tasks from different
-// locales interleave, so the static cost walker — which executes
-// chunks sequentially — predicts the same replication points as the
-// interleaving VM.
+// locales interleave.
 type arrState struct {
 	reads     int64
 	v         *ir.Var

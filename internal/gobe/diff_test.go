@@ -63,3 +63,21 @@ func TestFaultSeedZeroReadsAsOne(t *testing.T) {
 		t.Errorf("run mode: seed 1 stats differ from in-process seed 1:\n%s\n%s", got, one)
 	}
 }
+
+// TestInterpReplyOutcomeBenchRequest runs a bench-named request through
+// outcome mode without the Go toolchain: InterpReply re-normalizes a
+// request that names both the bench and its source, exactly as a
+// runner does.
+func TestInterpReplyOutcomeBenchRequest(t *testing.T) {
+	req := &serve.Request{Bench: "fig1"}
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := InterpReply(req.Name, req.Source, compile.Options{}, &gobert.RunSpec{Mode: "outcome", Request: req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.RunErr != "" || len(reply.Outcome) == 0 {
+		t.Fatalf("outcome run failed: %q", reply.RunErr)
+	}
+}

@@ -36,8 +36,10 @@ import (
 // built before it silently ignore MCHPL_RUNNER_CRASH_AFTER_US.
 // v7: a 0µs crash delay kills synchronously before Main does any work.
 // v8: RunSpec carries its run knobs as a serve.Request — runners built
-// before it would decode the new wire with stale code and run defaults.)
-const codegenVersion = 8
+// before it would decode the new wire with stale code and run defaults.
+// v9: runners embed the static cost engine, which now predicts comm with
+// a skeleton VM run — stale runners would serve the old predictions.)
+const codegenVersion = 9
 
 // maxInlineInstrs caps how large an IR function gets inline codegen.
 // Every instruction expands to ~40-50 lines of guarded Go plus a

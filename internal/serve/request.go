@@ -122,15 +122,19 @@ var validViews = map[string]bool{
 // text, and fills defaults, so that two requests meaning the same thing
 // produce the same Key. It mutates the receiver.
 func (r *Request) Normalize() error {
-	if (r.Bench == "") == (r.Source == "") {
-		return fmt.Errorf("exactly one of bench or source must be set")
-	}
 	if r.Bench != "" {
 		src, name, err := ResolveBench(r.Bench)
 		if err != nil {
 			return err
 		}
+		// A normalized bench request already carries the resolved
+		// source; accepting it keeps Normalize idempotent.
+		if r.Source != "" && r.Source != src {
+			return fmt.Errorf("exactly one of bench or source must be set")
+		}
 		r.Source, r.Name = src, name
+	} else if r.Source == "" {
+		return fmt.Errorf("exactly one of bench or source must be set")
 	}
 	if len(r.Source) > MaxSourceBytes {
 		return fmt.Errorf("source too large (%d bytes, max %d)", len(r.Source), MaxSourceBytes)

@@ -164,3 +164,26 @@ func TestNormalizeValidation(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v", r)
 	}
 }
+
+// TestNormalizeIdempotent pins that a normalized bench request (which
+// carries both its bench name and the resolved source) normalizes again
+// to the same request and key, as the native runner re-normalizes what
+// the host already normalized.
+func TestNormalizeIdempotent(t *testing.T) {
+	for _, r := range []*Request{
+		{Bench: "fig1"},
+		{Bench: "wavefront", Locales: 4, CommAggregate: true, View: "static"},
+		{Source: "writeln(1);\n"},
+	} {
+		if err := r.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		first, key := *r, r.Key()
+		if err := r.Normalize(); err != nil {
+			t.Fatalf("second Normalize of %s: %v", first.Summary(), err)
+		}
+		if !reflect.DeepEqual(*r, first) || r.Key() != key {
+			t.Errorf("second Normalize changed the request:\n%+v\n%+v", first, *r)
+		}
+	}
+}

@@ -88,6 +88,9 @@ func (m *VM) query(t *Task, in *ir.Instr) (Value, bool) {
 			return IntVal(int64(m.Cfg.NumCores)), true
 		}
 	}
+	if v.K == KUnk {
+		return Value{K: KUnk}, true
+	}
 	m.fail(t, in, "query .%s on %s", in.Method, v)
 	return Value{}, false
 }
@@ -107,6 +110,17 @@ func asDomain(v Value) (DomainVal, bool) {
 // domMethod implements OpDomMethod (expand/translate/dim/interior/...).
 func (m *VM) domMethod(t *Task, in *ir.Instr) (Value, bool) {
 	v := m.readVal(t, in.A)
+	if m.skel {
+		for _, a := range in.Args {
+			if m.readPtr(t, a).K == KUnk {
+				m.fail(t, in, "data-dependent domain bound at %v", in.Pos)
+				return Value{}, false
+			}
+		}
+		if v.K == KUnk {
+			return Value{K: KUnk}, true
+		}
+	}
 	argInt := func(i int) int64 {
 		if i < len(in.Args) {
 			return m.readVal(t, in.Args[i]).AsInt()
@@ -168,6 +182,11 @@ func (m *VM) doBuiltin(t *Task, in *ir.Instr) (uint64, bool) {
 	}
 	if strings.HasPrefix(name, "atomic:") {
 		return m.atomicBuiltin(t, in, strings.TrimPrefix(name, "atomic:"))
+	}
+	if m.skel {
+		if cycles, handled, ok := m.skelBuiltin(t, in); handled {
+			return cycles, ok
+		}
 	}
 	argV := func(i int) Value {
 		if i < len(in.Args) {
@@ -312,8 +331,10 @@ func (m *VM) atomicBuiltin(t *Task, in *ir.Instr, op string) (uint64, bool) {
 		old := *cell
 		delta := argV(0)
 		var next Value
-		switch cell.K {
-		case KReal:
+		switch {
+		case cell.K == KUnk || delta.K == KUnk:
+			next = Value{K: KUnk}
+		case cell.K == KReal:
 			d := delta.AsReal()
 			if op == "sub" {
 				d = -d
@@ -376,17 +397,23 @@ func (m *VM) configBuiltin(t *Task, in *ir.Instr, name string) (uint64, bool) {
 // reduceBuiltin folds an array with +, *, min (<) or max (>).
 func (m *VM) reduceBuiltin(t *Task, in *ir.Instr, op string) (uint64, bool) {
 	v := m.readVal(t, in.Args[0])
-	if v.K != KArray {
+	if v.K != KArray && v.K != KUnk || v.Arr == nil {
 		m.fail(t, in, "reduce over non-array %s", v)
 		return 0, false
 	}
 	arr := v.Arr
 	n := arr.Dom.Size()
+	if m.skel && !tracksContents(arr) {
+		// The fold reads the untracked contents.
+		m.assignVarV(t, in.Dst, Value{K: KUnk}, in)
+		return uint64(n) * m.cost(m.Cfg.Costs.PerElem), true
+	}
 	idx := make([]int64, arr.Dom.Rank)
 	var accF float64
 	var accI int64
 	isInt := true
 	first := true
+	unk := false
 	if op == "*" {
 		accF, accI = 1, 1
 	}
@@ -397,6 +424,10 @@ func (m *VM) reduceBuiltin(t *Task, in *ir.Instr, op string) (uint64, bool) {
 			continue
 		}
 		e := c.Deref()
+		if e.K == KUnk {
+			unk = true
+			continue
+		}
 		if e.K != KInt {
 			isInt = false
 		}
@@ -420,7 +451,9 @@ func (m *VM) reduceBuiltin(t *Task, in *ir.Instr, op string) (uint64, bool) {
 		}
 		first = false
 	}
-	if isInt {
+	if unk {
+		m.assignVarV(t, in.Dst, Value{K: KUnk}, in)
+	} else if isInt {
 		m.assignVarV(t, in.Dst, IntVal(accI), in)
 	} else {
 		m.assignVarV(t, in.Dst, RealVal(accF), in)

@@ -104,6 +104,10 @@ func (m *VM) step(t *Task) bool {
 		if base == nil {
 			return false
 		}
+		if base.K == KUnk {
+			m.assignVar(t, in.Dst, base, in)
+			break
+		}
 		ix := m.tupleIndex(t, in, base)
 		if ix < 0 {
 			return false
@@ -112,6 +116,9 @@ func (m *VM) step(t *Task) bool {
 
 	case ir.OpTupleSet:
 		base := m.cellOf(t, in.Dst).Deref()
+		if base.K == KUnk {
+			break
+		}
 		if base.K != KTuple && base.K != KRecord {
 			m.fail(t, in, "tuple store into non-tuple %s", base)
 			return false
@@ -161,6 +168,11 @@ func (m *VM) step(t *Task) bool {
 		fs := cell.FlatSize()
 		cycles += uint64(fs-1) * m.cost(m.Cfg.Costs.PerElem)
 		cycles += m.commCost(t, arr, idx, int64(fs)*8, false)
+		if m.skel && !tracksContents(arr) {
+			u := unknownOf(cell, true)
+			m.assignVar(t, in.Dst, &u, in)
+			break
+		}
 		m.assignVar(t, in.Dst, cell, in)
 
 	case ir.OpIndexStore:
@@ -173,6 +185,9 @@ func (m *VM) step(t *Task) bool {
 		fs := int64(src.FlatSize())
 		cycles += m.assignInto(cell, src)
 		cycles += m.commCost(t, arr, idx, fs*8, true)
+		if m.skel && idx == nil {
+			forget(arr)
+		}
 
 	case ir.OpRefElem:
 		cell, arr, idx, ok := m.elemCell(t, in, in.A)
@@ -181,26 +196,44 @@ func (m *VM) step(t *Task) bool {
 		}
 		acc = arr
 		cycles += m.commCost(t, arr, idx, 8, false)
+		if m.skel && (idx == nil || !tracksContents(arr)) {
+			// No reference to an element the skeleton cannot place or
+			// does not track: writes through it must not look known.
+			if idx == nil {
+				forget(arr)
+			}
+			m.bindCell(t, in.Dst, unknownOf(cell, idx != nil))
+			break
+		}
 		m.bindCell(t, in.Dst, makeRef(cell))
 
 	case ir.OpSlice:
 		base := m.readCellChecked(t, in.A, in)
-		if base == nil || base.K != KArray {
+		if base == nil || base.K != KArray && base.K != KUnk || base.Arr == nil {
 			m.fail(t, in, "slicing a non-array")
 			return false
 		}
 		idx := m.readVal(t, in.B)
 		view, err := sliceArray(base.Arr, idx)
 		if err != "" {
+			if idx.K == KUnk {
+				m.fail(t, in, "data-dependent slice bounds at %v", in.Pos)
+				return false
+			}
 			m.fail(t, in, "%s", err)
 			return false
 		}
 		acc = base.Arr.Owner()
-		m.bindCell(t, in.Dst, Value{K: KArray, Arr: view})
+		m.bindCell(t, in.Dst, Value{K: base.K, Arr: view})
 
 	case ir.OpMakeRange:
-		lo := m.readVal(t, in.A).AsInt()
-		hiOrN := m.readVal(t, in.B).AsInt()
+		a, b := m.readPtr(t, in.A), m.readPtr(t, in.B)
+		if a.K == KUnk || b.K == KUnk || len(in.Args) > 0 && m.readPtr(t, in.Args[0]).K == KUnk {
+			m.fail(t, in, "data-dependent range bound at %v", in.Pos)
+			return false
+		}
+		lo := a.AsInt()
+		hiOrN := b.AsInt()
 		r := RangeVal{Lo: lo, Hi: hiOrN, Stride: 1}
 		if in.Method == "counted" {
 			r.Hi = lo + hiOrN - 1
@@ -219,6 +252,10 @@ func (m *VM) step(t *Task) bool {
 		d := DomainVal{Rank: len(in.Args)}
 		for i, a := range in.Args {
 			rv := m.readVal(t, a)
+			if rv.K == KUnk {
+				m.fail(t, in, "data-dependent domain bound at %v", in.Pos)
+				return false
+			}
 			if rv.K != KRange {
 				m.fail(t, in, "domain dimension %d is not a range", i+1)
 				return false
@@ -244,6 +281,10 @@ func (m *VM) step(t *Task) bool {
 
 	case ir.OpAllocArray:
 		dv := m.readVal(t, in.A)
+		if dv.K == KUnk {
+			m.fail(t, in, "data-dependent domain bound at %v", in.Pos)
+			return false
+		}
 		if dv.K != KDomain {
 			m.fail(t, in, "array allocation over non-domain %s", dv)
 			return false
@@ -334,6 +375,10 @@ func (m *VM) step(t *Task) bool {
 			m.lis.Exec(cycles, t, in, nil)
 		}
 		if cond.K != KBool {
+			if cond.K == KUnk {
+				m.fail(t, in, "data-dependent branch in %s at %v", act.F.Name, in.Pos)
+				return false
+			}
 			m.fail(t, in, "branch on non-bool %s", cond)
 			return false
 		}
@@ -466,10 +511,10 @@ func (m *VM) assignVarV(t *Task, v *ir.Var, src Value, in *ir.Instr) uint64 {
 // scalars broadcast over arrays and tuples, everything else deep-copies.
 func (m *VM) assignInto(cell *Value, src *Value) uint64 {
 	src = src.Deref()
-	if cell.K == KArray && cell.Arr != nil {
+	if (cell.K == KArray || cell.K == KUnk) && cell.Arr != nil {
 		dst := cell.Arr
-		switch src.K {
-		case KArray:
+		switch {
+		case src.K == KArray, src.K == KUnk && src.Arr != nil:
 			return m.copyArray(dst, src.Arr)
 		default:
 			// Broadcast scalar.
@@ -484,10 +529,11 @@ func (m *VM) assignInto(cell *Value, src *Value) uint64 {
 			return uint64(n) * m.cost(m.Cfg.Costs.PerElem)
 		}
 	}
-	if cell.K == KNil && src.K == KArray && src.Arr != nil {
-		// Fresh array binding from an initializer: clone.
+	if cell.K == KNil && (src.K == KArray || src.K == KUnk) && src.Arr != nil {
+		// Fresh array binding from an initializer: clone (an unknown
+		// array reference stays unknown).
 		clone, extra := m.cloneArray(src.Arr)
-		*cell = Value{K: KArray, Arr: clone}
+		*cell = Value{K: src.K, Arr: clone}
 		return extra
 	}
 	if (cell.K == KTuple || cell.K == KRecord) && src.K != cell.K {
@@ -562,7 +608,12 @@ func (m *VM) tupleIndex(t *Task, in *ir.Instr, base *Value) int {
 	if in.FieldIx >= 0 {
 		ix = int64(in.FieldIx)
 	} else {
-		ix = m.readVal(t, in.B).AsInt()
+		iv := m.readPtr(t, in.B)
+		if iv.K == KUnk {
+			m.fail(t, in, "data-dependent tuple index at %v", in.Pos)
+			return -1
+		}
+		ix = iv.AsInt()
 	}
 	if base.K == KTuple {
 		ix-- // Chapel tuples are 1-based
@@ -633,7 +684,9 @@ func (m *VM) refFieldCell(t *Task, in *ir.Instr) (*Value, *ArrayVal) {
 // returning the owning allocation and the resolved index.
 func (m *VM) elemCell(t *Task, in *ir.Instr, baseVar *ir.Var) (*Value, *ArrayVal, []int64, bool) {
 	base := m.cellOf(t, baseVar).Deref()
-	if base.K != KArray || base.Arr == nil {
+	// An unknown array reference (skeleton mode) still reaches its
+	// allocation.
+	if base.K != KArray && base.K != KUnk || base.Arr == nil {
 		m.fail(t, in, "indexing non-array value %s (var %s)", base, baseVar.Name)
 		return nil, nil, nil, false
 	}
@@ -641,19 +694,34 @@ func (m *VM) elemCell(t *Task, in *ir.Instr, baseVar *ir.Var) (*Value, *ArrayVal
 	// Resolved indices live in a VM scratch buffer: element accesses
 	// dominate hot loops and the indices never outlive the instruction.
 	idx := m.idxScratch[:0]
+	unk := false
 	if len(in.Args) == 1 {
 		iv := m.readVal(t, in.Args[0])
 		if iv.K == KTuple {
-			for _, e := range iv.Elems {
-				idx = append(idx, e.AsInt())
+			for i := range iv.Elems {
+				if iv.Elems[i].K == KUnk {
+					unk = true
+					continue
+				}
+				idx = append(idx, iv.Elems[i].AsInt())
 			}
+		} else if iv.K == KUnk {
+			unk = true
 		} else {
 			idx = append(idx, iv.AsInt())
 		}
 	} else {
 		for _, a := range in.Args {
-			idx = append(idx, m.readVal(t, a).AsInt())
+			iv := m.readPtr(t, a)
+			if iv.K == KUnk {
+				unk = true
+				continue
+			}
+			idx = append(idx, iv.AsInt())
 		}
+	}
+	if unk {
+		return m.unknownElem(t, in, arr)
 	}
 	if len(idx) != arr.Dom.Rank {
 		m.fail(t, in, "rank-%d array indexed with %d subscripts", arr.Dom.Rank, len(idx))
@@ -825,6 +893,9 @@ func (m *VM) commAccess(t *Task, arr *ArrayVal, idx []int64, bytes int64, home i
 func (m *VM) evalBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	a = a.Deref()
 	b = b.Deref()
+	if a.K == KUnk && a.Arr != nil || b.K == KUnk && b.Arr != nil {
+		return m.evalUnknownArrayBin(op, a, b)
+	}
 	// Array promotion.
 	if a.K == KArray || b.K == KArray {
 		return m.evalArrayBin(op, a, b)
@@ -832,6 +903,9 @@ func (m *VM) evalBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	// Tuple elementwise.
 	if a.K == KTuple || b.K == KTuple {
 		return m.evalTupleBin(op, a, b)
+	}
+	if a.K == KUnk || b.K == KUnk {
+		return Value{K: KUnk}, 0, true
 	}
 	switch op {
 	case token.AND:
@@ -1111,6 +1185,9 @@ func (m *VM) evalArrayBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 
 func evalUn(op token.Kind, a *Value) (Value, bool) {
 	a = a.Deref()
+	if a.K == KUnk {
+		return Value{K: KUnk}, true
+	}
 	switch op {
 	case token.MINUS:
 		switch a.K {

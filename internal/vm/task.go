@@ -67,6 +67,10 @@ func (m *VM) doSpawn(t *Task, in *ir.Instr) {
 			if lv.K == KLocale {
 				locale = int(lv.I)
 			}
+			if lv.K == KUnk {
+				m.fail(t, in, "on-statement with unknown target locale at %v", in.Pos)
+				return
+			}
 		}
 		if locale < 0 || locale >= m.Cfg.NumLocales {
 			m.fail(t, in, "on-statement targets locale %d of %d", locale, m.Cfg.NumLocales)
@@ -261,6 +265,9 @@ func (m *VM) iterSpace(t *Task, in *ir.Instr) (DomainVal, bool) {
 		return v.Dom, true
 	case KArray:
 		return v.Arr.Dom, true
+	case KUnk:
+		m.fail(t, in, "forall over unknown iteration space at %v", in.Pos)
+		return DomainVal{}, false
 	}
 	m.fail(t, in, "cannot iterate over %s", v)
 	return DomainVal{}, false

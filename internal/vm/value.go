@@ -36,6 +36,9 @@ const (
 	KRef    // reference to a storage cell
 	KClass  // class instance handle
 	KLocale // locale id in I
+	// KUnk is a value skeleton mode (NewSkeleton) does not track: the
+	// contents of a non-int array and anything computed from them.
+	KUnk
 )
 
 // Value is a runtime value. Records and tuples store their elements in
@@ -209,6 +212,8 @@ func (v Value) AsInt() int64 {
 		return 0
 	case KRef:
 		return v.Deref().AsInt()
+	case KUnk:
+		panic("vm: unknown value used as an integer")
 	}
 	return 0
 }
@@ -222,6 +227,8 @@ func (v Value) AsReal() float64 {
 		return v.F
 	case KRef:
 		return v.Deref().AsReal()
+	case KUnk:
+		panic("vm: unknown value used as a number")
 	}
 	return 0
 }

@@ -308,6 +308,8 @@ type VM struct {
 	// compiled backend's dispatch (see backend.go). Resolved once at VM
 	// construction from the per-program registry.
 	sliceFn SliceFn
+	// skel selects skeleton mode (see NewSkeleton).
+	skel bool
 
 	// Stats accumulates run statistics.
 	Stats Stats
