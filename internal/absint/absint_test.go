@@ -1,7 +1,6 @@
 package absint_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/absint"
@@ -176,59 +175,5 @@ proc main() {
 		if got.Rng != absint.MakeInterval(0, 9) {
 			t.Errorf("b%d: pinned i = %v, want range [0,9] everywhere", b.ID, got)
 		}
-	}
-}
-
-// TestLocalityDomain classifies the access sites of a stencil forall
-// body: A[i] must come out owner-local, A[i+1] as a halo access, and a
-// captured scalar as sweep-invariant.
-func TestLocalityDomain(t *testing.T) {
-	prog, _ := mainOf(t, `
-config const n = 64;
-var D: domain(1) = {0..#n};
-var A: [D] real;
-var B: [D] real;
-proc main() {
-  forall i in D {
-    B[i] = A[i] + A[i+1];
-  }
-  writeln(B[0]);
-}
-`)
-	var body *ir.Func
-	for _, f := range prog.Funcs {
-		if strings.Contains(f.Name, "forall_fn") {
-			body = f
-			break
-		}
-	}
-	if body == nil || len(body.Params) == 0 {
-		t.Fatal("no outlined forall body")
-	}
-	d := &absint.LocDomain{Fn: body, Index: map[*ir.Var]bool{body.Params[0]: true}}
-	r := absint.Run(body, d)
-	seen := make(map[absint.SiteClass]bool)
-	for _, b := range body.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op != ir.OpIndex {
-				continue
-			}
-			env, ok := r.At(d, in)
-			if !ok {
-				continue
-			}
-			for _, u := range in.Uses() {
-				lv := env.Get(u)
-				if lv.K == absint.LIndex {
-					seen[lv.Classify()] = true
-				}
-			}
-		}
-	}
-	if !seen[absint.ClassOwner] {
-		t.Errorf("no owner-local access classified; saw %v", seen)
-	}
-	if !seen[absint.ClassHalo] {
-		t.Errorf("no halo access classified; saw %v", seen)
 	}
 }

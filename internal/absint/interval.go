@@ -1,13 +1,12 @@
 // Package absint is a small abstract-interpretation framework over the
 // repo's IR + CFG: a generic forward dataflow engine (worklist over
-// reverse postorder, lattice interface, widening at loop heads) with two
-// concrete domains — an interval/affine domain for loop bounds and index
-// expressions (interval.go, value.go, domain.go) and a locality domain
-// tracking index-relative ownership of array accesses (locality.go).
+// reverse postorder, lattice interface, widening at loop heads) with one
+// concrete domain — an interval/affine domain for loop bounds and index
+// expressions (interval.go, value.go, domain.go).
 //
-// The static cost engine (internal/analyze/cost) runs these domains to
-// predict per-variable blame and comm-message volume without executing
-// the program; see DESIGN.md "Static cost model".
+// The static cost engine (internal/analyze/cost) runs it to predict trip
+// counts and block frequencies, and so per-variable blame, without a
+// profiled run; see DESIGN.md "Static cost model".
 package absint
 
 import "fmt"

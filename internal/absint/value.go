@@ -253,27 +253,6 @@ func (n NumVal) Neg() NumVal {
 	return out
 }
 
-// Eval substitutes concrete symbol values (missing symbols evaluate at
-// their interval is unknown → ok=false) and returns the resulting
-// constant.
-func (n NumVal) Eval(sub map[*ir.Var]int64) (int64, bool) {
-	if v, ok := n.IsConst(); ok {
-		return v, true
-	}
-	if n.Aff == nil {
-		return 0, false
-	}
-	out := n.Aff.Const
-	for v, c := range n.Aff.Terms {
-		x, ok := sub[v]
-		if !ok {
-			return 0, false
-		}
-		out = satAdd(out, satMul(c, x))
-	}
-	return out, true
-}
-
 // Bool is the three-point boolean lattice.
 type Bool uint8
 

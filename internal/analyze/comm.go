@@ -62,7 +62,6 @@ type commSite struct {
 	shift   int64   // iteration-space translation (wavefront), 0 otherwise
 	arrDom  *ir.Var // the array's distribution domain
 	aligned bool    // classified within an aligned or sweeping context
-	sweep   bool    // context was a range-driven parallel body
 	rank1   bool    // single index argument (plan-eligible)
 }
 
@@ -149,7 +148,6 @@ func (ctx *Context) commScan(f *ir.Func) (sites []commSite, where string, summar
 			} else if isBody && bodySweep {
 				site.pat = ctx.classifyAccess(f, bodyTi, args, 0, true)
 				site.aligned = true
-				site.sweep = true
 			} else {
 				var best *alignedLoop
 				for i := range aligned {

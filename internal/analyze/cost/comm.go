@@ -15,9 +15,8 @@ import (
 // program's scalar and control skeleton while non-int array contents
 // stay unknown. The message counts are therefore the dynamic run's
 // whenever control flow and distributed subscripts are data-independent
-// — the affine and int-indirect comm benchmarks. When the
-// skeleton aborts, the prediction falls back to the closed-form
-// comm.Predict* site formulas.
+// — the affine and int-indirect comm benchmarks. When the skeleton
+// aborts, comm is left unpredicted.
 
 // commTrace is the Listener the skeleton run reports through: messages
 // per owning variable and comm cycles per accessing instruction.
@@ -101,90 +100,4 @@ func (p *predictor) traceComm(pred *Prediction) error {
 	}
 	p.commCycles = tr.cycles
 	return nil
-}
-
-// fallbackComm estimates comm volume from the classified sites and the
-// closed-form comm.Predict* formulas when the skeleton run aborted. It
-// only covers rank-1 Block-distributed sweeps — the affine patterns the
-// plan classifies — and is deliberately coarse elsewhere.
-func (p *predictor) fallbackComm() (msgs int64, perVar map[string]int64) {
-	perVar = make(map[string]int64)
-	nl := p.opts.VM.NumLocales
-	if nl <= 1 {
-		return 0, perVar
-	}
-	actx := p.actx
-	for _, f := range p.reach {
-		sp := actx.SpawnSite(f)
-		if sp == nil || sp.Spawn == nil {
-			continue
-		}
-		space := p.spawnSpace(sp)
-		dims, ok := space.Space()
-		if !ok || len(dims) == 0 {
-			continue
-		}
-		loV, okL := dims[0].Lo.IsConst()
-		hiV, okH := dims[0].Hi.IsConst()
-		if !okL || !okH || hiV < loV {
-			continue
-		}
-		n := hiV - loV + 1
-		b := comm.Block{N: n, L: nl}
-		sweeps := int64(p.inv[f] / maxF(1, float64(n))) // body invocations / space
-		if sweeps <= 0 {
-			sweeps = 1
-		}
-		for _, site := range actx.CommSites(f) {
-			var per int64
-			for loc := 0; loc < nl; loc++ {
-				lo, hi := b.Span(loc)
-				if hi <= lo {
-					continue
-				}
-				switch site.Class {
-				case comm.SiteHalo:
-					var res comm.SpanSet
-					m, _ := comm.PredictPrefetch(b, loc, lo+site.Off, hi-1+site.Off, &res)
-					per += m
-				case comm.SiteStrided:
-					var res comm.SpanSet
-					st := site.Stride
-					if st <= 0 {
-						st = 1
-					}
-					m, _ := comm.PredictStream(b, loc, lo*st, (hi-1)*st, st, comm.DefaultRunBlock, &res)
-					per += m
-				case comm.SiteBlocked:
-					div := site.Stride
-					if div <= 0 {
-						div = 1
-					}
-					var res comm.SpanSet
-					m, _ := comm.PredictStream(b, loc, lo/div, (hi-1)/div, 1, comm.DefaultRunBlock, &res)
-					per += m
-				case comm.SiteOwner:
-					// Owner-computes: no remote traffic.
-				case comm.SiteIrregular:
-					// Inspector–executor: the index set is unknowable
-					// statically, but the schedule shape is not — at worst
-					// one bulk gather per remote home whose block overlaps
-					// the sweep's index window (first sweep builds, later
-					// sweeps replay the memoized schedule at the same
-					// per-task message cost).
-					m, _ := comm.PredictInspector(b, loc, 0, n-1)
-					per += m
-				default:
-					per += comm.PredictFine(b, loc, lo, hi-1, 1)
-				}
-			}
-			total := per * sweeps
-			if total > 0 {
-				msgs += total
-				perVar[site.Name] += total
-				p.commCycles[site.Instr] += float64(total) * float64(p.commCycles1(8))
-			}
-		}
-	}
-	return msgs, perVar
 }

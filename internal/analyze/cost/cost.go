@@ -54,8 +54,7 @@ type Prediction struct {
 	MsgsByVar   map[string]int64
 
 	// WalkOK reports whether the skeleton VM run that traces comm
-	// completed; when false the comm numbers come from the closed-form
-	// site formulas instead.
+	// completed; when false the comm fields stay empty.
 	WalkOK bool
 	// Notes lists the documented approximations taken on this program.
 	Notes []string
@@ -148,11 +147,7 @@ func Predict(prog *ir.Program, opts Options) *Prediction {
 		if err := p.traceComm(pred); err == nil {
 			pred.WalkOK = true
 		} else {
-			p.note("comm walk aborted (%v): using closed-form site formulas", err)
-			msgs, perVar := p.fallbackComm()
-			pred.Msgs = msgs
-			pred.MsgsByVar = perVar
-			pred.MsgsByClass["formula"] = msgs
+			p.note("comm not predicted: skeleton run aborted (%v)", err)
 		}
 	}
 

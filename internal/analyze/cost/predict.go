@@ -1,14 +1,14 @@
 // Package cost is the symbolic static cost engine: it predicts the
 // per-variable data-centric blame ranking and the comm-message volume of
-// a program without executing it. The engine runs the interval/affine
+// a program without a profiled run. The engine runs the interval/affine
 // abstract domain (internal/absint) over every reachable function to
 // derive symbolic loop trip counts and block frequencies, prices each
 // instruction with the VM's own cost table plus the executor's modeled
 // extras, attributes the resulting cycle mass through the same
-// core.Analysis attribution the dynamic profiler uses, and enumerates
-// per-class comm messages per task chunk with the exported formulas of
-// internal/comm. See DESIGN.md "Static cost model" for the formulas and
-// the documented approximations.
+// core.Analysis attribution the dynamic profiler uses, and counts comm
+// messages with a skeleton run of the VM (comm.go). See DESIGN.md
+// "Static cost model" for the formulas and the documented
+// approximations.
 package cost
 
 import (

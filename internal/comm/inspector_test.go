@@ -230,20 +230,3 @@ func TestStatsRenderInspectorLine(t *testing.T) {
 		t.Errorf("inspector line wrong:\n%s\nwant substring:\n%s", s.Render(), want)
 	}
 }
-
-// PredictInspector's closed form matches the runtime: one message per
-// remote home intersecting the index window, moving the overlap.
-func TestPredictInspector(t *testing.T) {
-	b := Block{N: 16, L: 4} // spans: [0,4) [4,8) [8,12) [12,16)
-	msgs, elems := PredictInspector(b, 0, 0, 15)
-	if msgs != 3 || elems != 12 {
-		t.Errorf("full-window predict = %d msgs / %d elems, want 3/12", msgs, elems)
-	}
-	msgs, elems = PredictInspector(b, 1, 2, 9)
-	if msgs != 2 || elems != 4 {
-		t.Errorf("partial-window predict = %d msgs / %d elems, want 2/4", msgs, elems)
-	}
-	if msgs, _ := PredictInspector(b, 0, 0, 3); msgs != 0 {
-		t.Errorf("all-local window predicted %d msgs, want 0", msgs)
-	}
-}

@@ -256,7 +256,7 @@ func TableStaticAccuracy() (*Table, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("comm-count gate: %d/%d affine benchmarks within 10%% (gate requires all)", commOK, commChecked),
 		fmt.Sprintf("top-3 gate: %d/%d benchmarks match with ties within %.1f points of rank 3 (gate requires >= 4)", matches, len(scores), blameTieEps*100),
-		"predictions execute nothing: trip counts and comm volume come from abstract interpretation (internal/absint) and the symbolic chunk walker; idle spin is not modeled (see DESIGN.md)",
+		"predictions need no profiled run: trip counts come from abstract interpretation (internal/absint) and comm volume from a skeleton VM run with array contents unknown (vm.NewSkeleton); idle spin is not modeled (see DESIGN.md)",
 	)
 	return t, nil
 }

@@ -165,9 +165,6 @@ func New(prog *ir.Program, threshold uint64, opts ...Option) *Sampler {
 // Threshold returns the programmed threshold.
 func (s *Sampler) Threshold() uint64 { return s.counter.Threshold() }
 
-// TotalOverflows returns the number of PMU overflows seen.
-func (s *Sampler) TotalOverflows() uint64 { return s.counter.Overflows() }
-
 // Exec implements vm.Listener.
 func (s *Sampler) Exec(cycles uint64, t *vm.Task, in *ir.Instr, acc *vm.ArrayVal) {
 	if s.history != nil {

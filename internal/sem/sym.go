@@ -82,15 +82,6 @@ type Symbol struct {
 
 func (s *Symbol) String() string { return s.Name }
 
-// FullName returns Name qualified by its defining context, e.g.
-// "CalcElemFBHourglassForce.shx" for locals and "main.Pos" style globals.
-func (s *Symbol) FullName() string {
-	if s.Owner != nil {
-		return s.Owner.Name + "." + s.Name
-	}
-	return s.Name
-}
-
 // Context returns the paper's "Context" column value: the procedure the
 // variable is defined in, or "main" for module-level globals.
 func (s *Symbol) Context() string {

@@ -60,9 +60,6 @@ func NewFile(id int32, name, src string) *File {
 	return f
 }
 
-// NumLines returns the number of lines in the file.
-func (f *File) NumLines() int { return len(f.lineOffsets) }
-
 // PosFor converts a byte offset into a Pos.
 func (f *File) PosFor(offset int) Pos {
 	if offset < 0 {

@@ -293,15 +293,6 @@ func IsNumeric(t Type) bool {
 	return k == Int || k == Real
 }
 
-// IsIndexable reports whether t can appear as a loop iterand.
-func IsIndexable(t Type) bool {
-	switch t.Kind() {
-	case Range, Domain, Array:
-		return true
-	}
-	return false
-}
-
 // IsBigValue reports whether assignment of t copies bulk data (arrays,
 // records, wide tuples) — relevant to the cost model.
 func IsBigValue(t Type) bool {

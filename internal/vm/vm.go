@@ -837,13 +837,3 @@ func (m *VM) TotalCycles() uint64 { return m.totalCycles }
 
 // Globals exposes global storage (tests and views).
 func (m *VM) Globals() []Value { return m.globals }
-
-// GlobalByName returns the value of a named global, for tests.
-func (m *VM) GlobalByName(name string) (Value, bool) {
-	for _, g := range m.Prog.Globals {
-		if g.Name == name {
-			return m.globals[g.Slot], true
-		}
-	}
-	return Value{}, false
-}
