@@ -11,6 +11,13 @@
 // transfer function for interprocedural bubbling (§IV.A "Transfer
 // Function").
 //
+// Sample attribution (AttributeSample) is memoized per instruction: the
+// blame a sample draws within one function depends only on the Analysis
+// and the instruction, so each instruction's blamed variables, access
+// paths and exit-variable flag are computed once and shared. The
+// returned slices are read-only, and a built Analysis stays safe to share
+// across goroutines.
+//
 // Note on the paper's Fig. 1/Table I worked example: we implement the
 // published formula, under which variable `a` (written at line 19 as
 // a=b+1) also inherits line 17 (the write to b) through the backward
@@ -21,6 +28,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/cfg"
 	"repro/internal/ir"
@@ -77,6 +85,10 @@ type FuncAnalysis struct {
 	// vars lists all variables that appear in the function (including
 	// globals it touches).
 	vars []*ir.Var
+
+	// memo holds each instruction's level-local attribution (indexed
+	// like instrs), filled lazily by attribution.
+	memo []atomic.Pointer[instrBlame]
 }
 
 // Analysis is the whole-program static blame result (paper step 1).
@@ -223,6 +235,7 @@ func (a *Analysis) analyzeFunc(f *ir.Func) *FuncAnalysis {
 		}
 	}
 	n := len(fa.instrs)
+	fa.memo = make([]atomic.Pointer[instrBlame], n)
 
 	// Collect variables and defs (per alias class).
 	seen := make(map[*ir.Var]bool)
@@ -639,58 +652,5 @@ func (a *Analysis) BlameSetLines(f *ir.Func, v *ir.Var) []int {
 		out = append(out, int(l))
 	}
 	sort.Ints(out)
-	return out
-}
-
-// blamedAt returns all variables of f whose blame set contains the
-// instruction (or its line, at line granularity).
-func (fa *FuncAnalysis) blamedAt(a *Analysis, in *ir.Instr) []*ir.Var {
-	idx, ok := fa.index[in]
-	if !ok {
-		return nil
-	}
-	blamedRep := func(rep *ir.Var) bool {
-		if a.Opts.LineGranularity {
-			lines := fa.blameLines[rep]
-			return lines != nil && in.Pos.IsValid() && lines[in.Pos.Line]
-		}
-		s := fa.blame[rep]
-		return s != nil && s.has(idx)
-	}
-	var out []*ir.Var
-	for _, v := range fa.vars {
-		if blamedRep(a.find(v)) {
-			out = append(out, v)
-		}
-	}
-	// Global alias-class members share blame even when the alias name
-	// does not appear in this function (RealPos/RealCount in MiniMD).
-	for rep := range fa.blame {
-		if !blamedRep(rep) {
-			continue
-		}
-		out = append(out, a.globalMembers[rep]...)
-	}
-	return out
-}
-
-// pathsAt returns access paths blamed for the instruction.
-func (fa *FuncAnalysis) pathsAt(a *Analysis, in *ir.Instr) []*PathBlame {
-	idx, ok := fa.index[in]
-	if !ok {
-		return nil
-	}
-	var out []*PathBlame
-	for _, pb := range fa.Paths {
-		if a.Opts.LineGranularity {
-			if in.Pos.IsValid() && pb.line[in.Pos.Line] {
-				out = append(out, pb)
-			}
-			continue
-		}
-		if pb.set.has(idx) {
-			out = append(out, pb)
-		}
-	}
 	return out
 }

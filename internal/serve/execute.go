@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -100,19 +99,19 @@ func (o *Outcome) sizeBytes() int64 {
 // share. With cfg.Threshold 0 it first calibrates: one unmonitored run,
 // then a threshold of TotalCycles/4001 (at least 101, forced odd), which
 // targets a few thousand samples where the paper's fixed large prime
-// assumes multi-second wall times. Only then is inj attached, so the
-// calibration draws nothing from the fault PRNG and the profiled run's
-// fault schedule does not depend on whether a threshold was given.
+// assumes multi-second wall times. The calibration is memoized per
+// (program, run shape), so the views of one run pay for it once. Only
+// then is inj attached, so the calibration draws nothing from the fault
+// PRNG and the profiled run's fault schedule does not depend on whether
+// a threshold was given or the calibration came from the memo.
 // started, when non-nil, is called right before the profiled run.
 func Profile(prog *ir.Program, cfg *blame.Config, inj *fault.Injector, started func()) (*blame.Result, error) {
 	if cfg.Threshold == 0 {
-		cal := cfg.VM
-		cal.Stdout = io.Discard // the profiled run re-prints everything
-		st, err := vm.New(prog, cal).Run()
+		cycles, err := calibrate(prog, cfg.VM)
 		if err != nil {
 			return nil, err
 		}
-		th := st.TotalCycles / 4001
+		th := cycles / 4001
 		if th < 101 {
 			th = 101
 		}

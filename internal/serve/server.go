@@ -270,8 +270,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := newSession("", req)
+	sess.onFinish = s.metrics.SessionDone
 	s.register(sess)
-	go s.watchDone(sess)
 
 	if !req.NoCache {
 		if out, hit := s.cache.Get(sess.Key); hit {
@@ -295,17 +295,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.respondSubmit(w, r, sess)
-}
-
-// watchDone feeds the per-session end-to-end latency and state counters
-// once the session terminates.
-func (s *Server) watchDone(sess *Session) {
-	<-sess.Done()
-	out, _ := sess.Result()
-	sess.mu.Lock()
-	e2e := sess.finished.Sub(sess.created)
-	sess.mu.Unlock()
-	s.metrics.SessionDone(sess.State(), out, e2e)
 }
 
 func (s *Server) respondSubmit(w http.ResponseWriter, r *http.Request, sess *Session) {

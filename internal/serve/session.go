@@ -54,6 +54,11 @@ type Session struct {
 	// detach unhooks the session from its job on cancel/expiry; set by
 	// the scheduler at submit time.
 	detach func(*Session)
+	// onFinish, when set, records the terminal state. finish runs it
+	// before publishing the done event and closing Done, so a subscriber
+	// or Done waiter told the session finished finds it already
+	// recorded. Set before the session is shared.
+	onFinish func(state State, out *Outcome, e2e time.Duration)
 }
 
 func newSession(id string, req *Request) *Session {
@@ -202,8 +207,8 @@ func (s *Session) markRunning() {
 }
 
 // finish moves the session to a terminal state, records the outcome,
-// stops the deadline timer, notifies subscribers and closes Done. Only
-// the first terminal transition wins.
+// stops the deadline timer, runs onFinish, notifies subscribers and
+// closes Done. Only the first terminal transition wins.
 func (s *Session) finish(state State, out *Outcome, err error, cached bool) bool {
 	s.mu.Lock()
 	if s.state.Terminal() {
@@ -218,7 +223,11 @@ func (s *Session) finish(state State, out *Outcome, err error, cached bool) bool
 	if s.timer != nil {
 		s.timer.Stop()
 	}
+	e2e := s.finished.Sub(s.created)
 	s.mu.Unlock()
+	if s.onFinish != nil {
+		s.onFinish(state, out, e2e)
+	}
 
 	ev := Event{Type: "done", State: string(state)}
 	if err != nil {
