@@ -24,6 +24,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/benchprog"
 	"repro/internal/compile"
 	"repro/internal/gobe"
 	"repro/internal/serve"
@@ -62,7 +63,7 @@ func main() {
 		os.Exit(1)
 	}
 	req.Source, req.Name = src, name
-	req.Configs = parseConfigs(flag.Args())
+	req.Configs = serve.ParseConfigs(flag.Args())
 	req.View = *view
 	switch {
 	case *lintJSON:
@@ -151,21 +152,7 @@ func loadSource(bench string, args []string) (string, string, error) {
 func serveBench(name string) (string, string, error) {
 	src, progName, err := serve.ResolveBench(name)
 	if err != nil {
-		return "", "", fmt.Errorf("%w (known: %s)", err, strings.Join(serve.Benches(), ", "))
+		return "", "", fmt.Errorf("%w (known: %s)", err, strings.Join(benchprog.Names(), ", "))
 	}
 	return src, progName, nil
-}
-
-func parseConfigs(args []string) map[string]string {
-	out := make(map[string]string)
-	for _, a := range args {
-		if !strings.HasPrefix(a, "--") {
-			continue
-		}
-		kv := strings.SplitN(strings.TrimPrefix(a, "--"), "=", 2)
-		if len(kv) == 2 {
-			out[kv[0]] = kv[1]
-		}
-	}
-	return out
 }

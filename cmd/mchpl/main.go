@@ -110,7 +110,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mchpl:", err)
 		os.Exit(1)
 	}
-	req.Configs = parseConfigs(flag.Args())
+	req.Configs = serve.ParseConfigs(flag.Args())
 	switch *backend {
 	case "interp":
 		cfg := req.VMConfig(res.Prog)
@@ -197,9 +197,9 @@ func finishRun(st vm.Stats, showStats bool, locales int) {
 
 func loadSource(bench string, args []string) (src, name string, err error) {
 	if bench != "" {
-		p, err := benchByName(bench)
-		if err != nil {
-			return "", "", err
+		p, ok := benchprog.Builtin(bench)
+		if !ok {
+			return "", "", fmt.Errorf("unknown benchmark %q", bench)
 		}
 		return p.Source, p.Name + ".mchpl", nil
 	}
@@ -211,50 +211,6 @@ func loadSource(bench string, args []string) (src, name string, err error) {
 		return "", "", err
 	}
 	return string(b), args[0], nil
-}
-
-func benchByName(name string) (benchprog.Program, error) {
-	switch name {
-	case "minimd":
-		return benchprog.MiniMD(false), nil
-	case "minimd_opt":
-		return benchprog.MiniMD(true), nil
-	case "clomp":
-		return benchprog.CLOMP(false), nil
-	case "clomp_opt":
-		return benchprog.CLOMP(true), nil
-	case "lulesh":
-		return benchprog.LULESH(benchprog.LuleshOriginal), nil
-	case "lulesh_best":
-		return benchprog.LULESH(benchprog.LuleshBest), nil
-	case "halo":
-		return benchprog.Halo(), nil
-	case "wavefront":
-		return benchprog.Wavefront(), nil
-	case "gather":
-		return benchprog.Gather(), nil
-	case "spmv":
-		return benchprog.SpMV(), nil
-	case "fig1":
-		return benchprog.Program{Name: "fig1", Source: benchprog.Fig1Example}, nil
-	}
-	return benchprog.Program{}, fmt.Errorf("unknown benchmark %q", name)
-}
-
-// parseConfigs extracts --name=value pairs after the program argument
-// (Chapel-style config const overrides).
-func parseConfigs(args []string) map[string]string {
-	out := make(map[string]string)
-	for _, a := range args {
-		if !strings.HasPrefix(a, "--") {
-			continue
-		}
-		kv := strings.SplitN(strings.TrimPrefix(a, "--"), "=", 2)
-		if len(kv) == 2 {
-			out[kv[0]] = kv[1]
-		}
-	}
-	return out
 }
 
 func max64(a, b uint64) uint64 {

@@ -3,6 +3,7 @@ package analyze
 import (
 	"fmt"
 
+	"repro/internal/cfg"
 	"repro/internal/comm"
 	"repro/internal/ir"
 	"repro/internal/source"
@@ -97,7 +98,7 @@ func (ctx *Context) commScan(f *ir.Func) (sites []commSite, where string, summar
 	// align accesses just like a forall over it.
 	li := ctx.Loops(f)
 	type alignedLoop struct {
-		l     *natLoop
+		l     *cfg.Loop
 		dom   *ir.Var
 		shift int64
 		ti    *taintInfo
@@ -112,7 +113,7 @@ func (ctx *Context) commScan(f *ir.Func) (sites []commSite, where string, summar
 		if dom == nil {
 			continue
 		}
-		aligned = append(aligned, alignedLoop{l: l, dom: dom, shift: shift, ti: loopTaint(f, l, iv)})
+		aligned = append(aligned, alignedLoop{l: l, dom: dom, shift: shift, ti: loopTaint(f, iv)})
 	}
 
 	for _, b := range f.Blocks {
@@ -152,10 +153,10 @@ func (ctx *Context) commScan(f *ir.Func) (sites []commSite, where string, summar
 				var best *alignedLoop
 				for i := range aligned {
 					al := &aligned[i]
-					if al.dom != arrDom || !al.l.Blocks[b.ID] {
+					if al.dom != arrDom || !al.l.Body[b.ID] {
 						continue
 					}
-					if best == nil || len(al.l.Blocks) < len(best.l.Blocks) {
+					if best == nil || len(al.l.Body) < len(best.l.Body) {
 						best = al
 					}
 				}

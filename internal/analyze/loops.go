@@ -6,60 +6,20 @@ import (
 	"repro/internal/token"
 )
 
-// natLoop is a natural loop: a dominator back edge's header plus every
-// block that can reach a latch without passing through the header.
-type natLoop struct {
-	Head   *ir.Block
-	Blocks map[int]bool
-	// Latches are the back-edge sources.
-	Latches []*ir.Block
-}
-
 // loopInfo is per-function natural-loop structure.
 type loopInfo struct {
-	f     *ir.Func
-	Loops []*natLoop
-	// depth[blockID] counts enclosing natural loops.
+	Loops []*cfg.Loop
+	// depth[blockID] is the nesting depth of the innermost natural loop
+	// holding the block (0 outside every loop).
 	depth []int
 }
 
 func buildLoopInfo(f *ir.Func) *loopInfo {
-	li := &loopInfo{f: f, depth: make([]int, len(f.Blocks))}
-	if len(f.Blocks) == 0 {
-		return li
-	}
-	dom := cfg.Dominators(f)
-	byHead := make(map[int]*natLoop)
-	for _, b := range f.Blocks {
-		for _, s := range b.Succs {
-			if !dom.Dominates(s, b) {
-				continue
-			}
-			// Back edge b→s.
-			l := byHead[s.ID]
-			if l == nil {
-				l = &natLoop{Head: s, Blocks: map[int]bool{s.ID: true}}
-				byHead[s.ID] = l
-				li.Loops = append(li.Loops, l)
-			}
-			l.Latches = append(l.Latches, b)
-			// Collect the body by walking predecessors from the latch.
-			stack := []*ir.Block{b}
-			for len(stack) > 0 {
-				x := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if l.Blocks[x.ID] {
-					continue
-				}
-				l.Blocks[x.ID] = true
-				stack = append(stack, x.Preds...)
-			}
-		}
-	}
+	li := &loopInfo{Loops: cfg.NaturalLoops(f), depth: make([]int, len(f.Blocks))}
 	for _, l := range li.Loops {
-		for id := range l.Blocks {
+		for id := range l.Body {
 			if id < len(li.depth) {
-				li.depth[id]++
+				li.depth[id] = max(li.depth[id], l.Depth)
 			}
 		}
 	}
@@ -73,7 +33,7 @@ func buildLoopInfo(f *ir.Func) *loopInfo {
 // — and returns the compile-time trip count when lo, hi and step all
 // resolve to integer constants. Loops whose bounds come from config
 // constants, domain queries, or arithmetic do not qualify.
-func (ctx *Context) constTrip(f *ir.Func, l *natLoop) (int64, *ir.Var, bool) {
+func (ctx *Context) constTrip(f *ir.Func, l *cfg.Loop) (int64, *ir.Var, bool) {
 	term := l.Head.Terminator()
 	if term == nil || term.Op != ir.OpBr || term.A == nil {
 		return 0, nil, false
@@ -101,7 +61,7 @@ func (ctx *Context) constTrip(f *ir.Func, l *natLoop) (int64, *ir.Var, bool) {
 		if d.Op != ir.OpMove || d.Block == nil {
 			return 0, nil, false
 		}
-		if l.Blocks[d.Block.ID] {
+		if l.Body[d.Block.ID] {
 			// The increment: iv = iv + step.
 			inc := singleDef(ctx.defs(f), d.A)
 			if inc == nil || inc.Op != ir.OpBin || inc.BinOp != token.PLUS || inc.A != iv {
@@ -139,7 +99,7 @@ func singleDef(defs map[*ir.Var][]*ir.Instr, v *ir.Var) *ir.Instr {
 // serialLoopIter identifies what a serial counted loop iterates: when the
 // header condition's bounds were produced by low/high (or dimlow/dimhigh)
 // queries on one domain or array variable, that variable is returned.
-func (ctx *Context) serialLoopIter(f *ir.Func, l *natLoop) (iv, iter *ir.Var) {
+func (ctx *Context) serialLoopIter(f *ir.Func, l *cfg.Loop) (iv, iter *ir.Var) {
 	term := l.Head.Terminator()
 	if term == nil || term.Op != ir.OpBr || term.A == nil {
 		return nil, nil

@@ -56,9 +56,9 @@ func (ctx *Context) bodyTaint(f *ir.Func) *taintInfo {
 }
 
 // loopTaint computes index-taint for one serial natural loop: the
-// induction variable seeds the same propagation bodyTaint uses, restricted
-// to the loop's blocks.
-func loopTaint(f *ir.Func, l *natLoop, iv *ir.Var) *taintInfo {
+// induction variable seeds the same propagation bodyTaint uses, over all
+// of f.
+func loopTaint(f *ir.Func, iv *ir.Var) *taintInfo {
 	ti := &taintInfo{
 		direct:  map[*ir.Var]bool{iv: true},
 		tainted: map[*ir.Var]bool{iv: true},

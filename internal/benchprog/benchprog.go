@@ -6,6 +6,8 @@
 package benchprog
 
 import (
+	"sort"
+
 	"repro/internal/compile"
 )
 
@@ -96,13 +98,46 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-// All returns every benchmark program (for smoke tests).
-func All() []Program {
-	return []Program{
-		MiniMD(false), MiniMD(true),
-		CLOMP(false), CLOMP(true),
-		LULESH(LuleshOriginal), LULESH(LuleshBest),
-		Gather(), SpMV(),
-		{Name: "fig1", Source: Fig1Example},
+// builtins maps each built-in benchmark's name — mchpl and blame
+// -bench, the server's "bench" field — to its program.
+var builtins = map[string]func() Program{
+	"minimd":      func() Program { return MiniMD(false) },
+	"minimd_opt":  func() Program { return MiniMD(true) },
+	"clomp":       func() Program { return CLOMP(false) },
+	"clomp_opt":   func() Program { return CLOMP(true) },
+	"lulesh":      func() Program { return LULESH(LuleshOriginal) },
+	"lulesh_best": func() Program { return LULESH(LuleshBest) },
+	"halo":        Halo,
+	"wavefront":   Wavefront,
+	"gather":      Gather,
+	"spmv":        SpMV,
+	"fig1":        func() Program { return Program{Name: "fig1", Source: Fig1Example} },
+}
+
+// Builtin returns the built-in benchmark with the given name.
+func Builtin(name string) (Program, bool) {
+	mk, ok := builtins[name]
+	if !ok {
+		return Program{}, false
 	}
+	return mk(), true
+}
+
+// Names lists the built-in benchmark names, sorted.
+func Names() []string {
+	names := make([]string, 0, len(builtins))
+	for name := range builtins {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// All returns every built-in benchmark program, in Names order.
+func All() []Program {
+	var ps []Program
+	for _, name := range Names() {
+		ps = append(ps, builtins[name]())
+	}
+	return ps
 }

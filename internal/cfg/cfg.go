@@ -281,7 +281,6 @@ func ReversePostorder(f *ir.Func) []*ir.Block {
 // reach a back edge (latch → header) without leaving through the header.
 type Loop struct {
 	Head   *ir.Block
-	Latch  *ir.Block
 	Body   map[int]bool // block IDs, header included
 	Parent *Loop        // innermost enclosing loop, if any
 	Depth  int          // 1 for outermost
@@ -307,7 +306,7 @@ func NaturalLoops(f *ir.Func) []*Loop {
 			}
 			l := byHead[s.ID]
 			if l == nil {
-				l = &Loop{Head: s, Latch: b, Body: map[int]bool{s.ID: true}}
+				l = &Loop{Head: s, Body: map[int]bool{s.ID: true}}
 				byHead[s.ID] = l
 				heads = append(heads, s.ID)
 			}

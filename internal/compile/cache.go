@@ -2,7 +2,8 @@ package compile
 
 import (
 	"crypto/sha256"
-	"sync"
+
+	"repro/internal/memo"
 )
 
 // The experiment harness and the benchmark suite compile the same handful
@@ -19,16 +20,14 @@ type sourceKey struct {
 	opts Options
 }
 
-type sourceEntry struct {
-	once sync.Once
-	res  *Result
-	err  error
+// compiled is a memoized compilation. A compile error is deterministic,
+// so it is memoized with the result rather than returned to the memo.
+type compiled struct {
+	res *Result
+	err error
 }
 
-var (
-	sourceMu    sync.Mutex
-	sourceCache = make(map[sourceKey]*sourceEntry)
-)
+var sources = memo.New[sourceKey, compiled]("compile")
 
 // SourceCached compiles like Source but memoizes the result keyed by
 // (name, hash of src, opts). Cache hits return the identical *Result;
@@ -37,20 +36,15 @@ var (
 // failed to compile keeps failing without re-parsing.
 func SourceCached(name, src string, opts Options) (*Result, error) {
 	k := sourceKey{name: name, hash: sha256.Sum256([]byte(src)), opts: opts}
-	sourceMu.Lock()
-	e, ok := sourceCache[k]
-	if !ok {
-		e = &sourceEntry{}
-		sourceCache[k] = e
+	c, err := sources.Get(k, func() (compiled, error) {
+		res, err := Source(name, src, opts)
+		return compiled{res, err}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	sourceMu.Unlock()
-	e.once.Do(func() { e.res, e.err = Source(name, src, opts) })
-	return e.res, e.err
+	return c.res, c.err
 }
 
 // ResetCache drops all memoized compilations (tests).
-func ResetCache() {
-	sourceMu.Lock()
-	sourceCache = make(map[sourceKey]*sourceEntry)
-	sourceMu.Unlock()
-}
+func ResetCache() { sources.Reset() }

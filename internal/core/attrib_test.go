@@ -13,17 +13,6 @@ import (
 	"repro/internal/ir"
 )
 
-// builtinBenches are the eleven built-in benchmark programs.
-func builtinBenches() []benchprog.Program {
-	return []benchprog.Program{
-		benchprog.MiniMD(false), benchprog.MiniMD(true),
-		benchprog.CLOMP(false), benchprog.CLOMP(true),
-		benchprog.LULESH(benchprog.LuleshOriginal), benchprog.LULESH(benchprog.LuleshBest),
-		benchprog.Halo(), benchprog.Wavefront(), benchprog.Gather(), benchprog.SpMV(),
-		{Name: "fig1", Source: benchprog.Fig1Example},
-	}
-}
-
 // blamedKey is one Blamed entry in comparable form.
 type blamedKey struct {
 	sym, v, root any
@@ -148,7 +137,7 @@ func samplePaths(prog *ir.Program, seed int64, n int) [][]core.Frame {
 func TestAttributeSampleMatchesReference(t *testing.T) {
 	var bubbled atomic.Int64 // paths whose blame reached a caller frame
 	t.Run("benches", func(t *testing.T) {
-		for _, p := range builtinBenches() {
+		for _, p := range benchprog.All() {
 			t.Run(p.Name, func(t *testing.T) {
 				t.Parallel()
 				res, err := compile.Source(p.Name, p.Source, compile.Options{})

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/ir"
+	"repro/internal/memo"
 )
 
 // Static blame analysis is a pure function of (program, options), and an
@@ -18,35 +17,17 @@ type analyzeKey struct {
 	opts Options
 }
 
-type analyzeEntry struct {
-	once sync.Once
-	an   *Analysis
-}
-
-var (
-	analyzeMu    sync.Mutex
-	analyzeCache = make(map[analyzeKey]*analyzeEntry)
-)
+var analyses = memo.New[analyzeKey, *Analysis]("core")
 
 // AnalyzeCached memoizes Analyze keyed by (program identity, options).
 // Cache hits return the identical *Analysis; concurrent lookups of the
 // same key analyze exactly once.
 func AnalyzeCached(prog *ir.Program, opts Options) *Analysis {
-	k := analyzeKey{prog: prog, opts: opts}
-	analyzeMu.Lock()
-	e, ok := analyzeCache[k]
-	if !ok {
-		e = &analyzeEntry{}
-		analyzeCache[k] = e
-	}
-	analyzeMu.Unlock()
-	e.once.Do(func() { e.an = Analyze(prog, opts) })
-	return e.an
+	an, _ := analyses.Get(analyzeKey{prog: prog, opts: opts}, func() (*Analysis, error) {
+		return Analyze(prog, opts), nil
+	})
+	return an
 }
 
 // ResetCache drops all memoized analyses (tests).
-func ResetCache() {
-	analyzeMu.Lock()
-	analyzeCache = make(map[analyzeKey]*analyzeEntry)
-	analyzeMu.Unlock()
-}
+func ResetCache() { analyses.Reset() }

@@ -140,3 +140,20 @@ func TestAnalyzeCachedConcurrentMixedOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeCachedPanicNotMemoized: an analysis that panics leaves no
+// entry behind. Callers up the stack may recover (the experiment suite
+// does), and a memoized panic would hand every later caller a nil
+// *Analysis instead of the panic.
+func TestAnalyzeCachedPanicNotMemoized(t *testing.T) {
+	core.ResetCache()
+	analyze := func() (an *core.Analysis, panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		return core.AnalyzeCached(nil, core.DefaultOptions()), false
+	}
+	for i := 0; i < 2; i++ {
+		if an, panicked := analyze(); !panicked {
+			t.Fatalf("call %d on a nil program returned %v without panicking", i+1, an)
+		}
+	}
+}

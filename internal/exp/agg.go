@@ -8,6 +8,7 @@ import (
 	"repro/internal/blame"
 	"repro/internal/compile"
 	"repro/internal/postmortem"
+	"repro/internal/serve"
 	"repro/internal/vm"
 )
 
@@ -56,14 +57,10 @@ func TableAgg() (*Table, error) {
 
 	run := func(aggregate, ownerComputes bool) (*postmortem.CommProfile, vm.Stats, string, error) {
 		var out strings.Builder
-		// Explicit tweaks, not a Request's VMConfig: the study runs both
-		// sides without a comm plan.
+		req := serve.Request{Configs: cfgs, Locales: 4, CommAggregate: aggregate, NoOwnerComputes: !ownerComputes}
 		bc := blame.DefaultConfig()
-		bc.VM = runConfig(res.Prog, cfgs)
-		bc.VM.NumLocales = 4
+		bc.VM = req.VMConfig(res.Prog)
 		bc.VM.Stdout = &out
-		bc.VM.CommAggregate = aggregate
-		bc.VM.NoOwnerComputes = !ownerComputes
 		r, err := blame.Profile(res.Prog, bc)
 		if err != nil {
 			return nil, vm.Stats{}, "", err
@@ -143,7 +140,7 @@ const bcClockHz = 2.53e9
 // strings are memoized per (program, pass list).
 func predictedBy(p benchprog.Program, passes ...string) string {
 	key := p.Name + "|" + strings.Join(passes, ",")
-	s, _ := predMemo.get(key, func() (string, error) {
+	s, _ := predMemo.Get(key, func() (string, error) {
 		res, err := p.Compile(compile.Options{})
 		if err != nil {
 			return "-", nil

@@ -3,13 +3,11 @@ package exp
 import (
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/analyze"
-	"repro/internal/benchprog"
 	"repro/internal/blame"
-	"repro/internal/compile"
 	"repro/internal/ir"
+	"repro/internal/memo"
 )
 
 // The table functions re-derive the same deterministic quantities many
@@ -18,35 +16,8 @@ import (
 // Every VM run here is bit-reproducible (fixed scheduler, fixed cost
 // model, no host time), so run results are pure functions of
 // (program, config) and safe to share — including across the parallel
-// suite driver's goroutines.
-
-// memo is a tiny generic singleflight cache: concurrent lookups of the
-// same key compute once, losers block on the winner.
-type memo[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*memoEntry[V]
-}
-
-type memoEntry[V any] struct {
-	once sync.Once
-	v    V
-	err  error
-}
-
-func (c *memo[K, V]) get(k K, f func() (V, error)) (V, error) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[K]*memoEntry[V])
-	}
-	e, ok := c.m[k]
-	if !ok {
-		e = &memoEntry[V]{}
-		c.m[k] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.v, e.err = f() })
-	return e.v, e.err
-}
+// suite driver's goroutines. Unmonitored timing runs share
+// serve.Unmonitored's memo with the profiles' calibration runs.
 
 // cfgKey canonicalizes a config-const override map for cache keys.
 func cfgKey(cfgs map[string]string) string {
@@ -68,60 +39,29 @@ func cfgKey(cfgs map[string]string) string {
 	return b.String()
 }
 
-type timeKey struct {
-	name string
-	fast bool
-	cfgs string
-}
-
 type profKey struct {
 	name string
 	cfgs string
 }
 
 var (
-	timeMemo   memo[timeKey, float64]
-	profMemo   memo[profKey, *blame.Result]
-	reportMemo memo[*ir.Program, *analyze.Report]
-	predMemo   memo[string, string]
+	profMemo   = memo.New[profKey, *blame.Result]("exp.profile")
+	reportMemo = memo.New[*ir.Program, *analyze.Report]("exp.report")
+	predMemo   = memo.New[string, string]("exp.predicted")
 )
 
 // analysisReport memoizes the default diagnostics report per program
 // (reports are immutable once built).
 func analysisReport(prog *ir.Program) *analyze.Report {
-	rep, _ := reportMemo.get(prog, func() (*analyze.Report, error) {
+	rep, _ := reportMemo.Get(prog, func() (*analyze.Report, error) {
 		return analyze.Run(prog), nil
 	})
 	return rep
 }
 
-// timedSeconds memoizes timeProgram results: unmonitored runs are
-// deterministic, so one (program, fast, configs) run serves Table3,
-// Table5, Table7 and Table9 alike.
-func timedSeconds(p benchprog.Program, fast bool, cfgs map[string]string) (float64, error) {
-	return timeMemo.get(timeKey{p.Name, fast, cfgKey(cfgs)}, func() (float64, error) {
-		res, err := p.Compile(compile.Options{Fast: fast})
-		if err != nil {
-			return 0, err
-		}
-		return timeRun(res, cfgs)
-	})
-}
-
-// profiled memoizes profileProgram results. The *blame.Result (profile,
-// analysis, sampler) is read-only for every consumer, so the LULESH
-// profile runs once and feeds Fig4, Table6, Table8, the baseline and the
-// overhead tables.
-func profiled(p benchprog.Program, cfgs map[string]string) (*blame.Result, error) {
-	return profMemo.get(profKey{p.Name, cfgKey(cfgs)}, func() (*blame.Result, error) {
-		return profileUncached(p, cfgs)
-	})
-}
-
 // ResetMemos drops all experiment-level caches (tests).
 func ResetMemos() {
-	timeMemo = memo[timeKey, float64]{}
-	profMemo = memo[profKey, *blame.Result]{}
-	reportMemo = memo[*ir.Program, *analyze.Report]{}
-	predMemo = memo[string, string]{}
+	profMemo.Reset()
+	reportMemo.Reset()
+	predMemo.Reset()
 }

@@ -17,21 +17,21 @@ func TestProfiledShapeNoAlias(t *testing.T) {
 	prog := benchprog.Halo()
 	cfgs := benchprog.HaloConfig{N: 64, Reps: 2}.Configs()
 
-	base, err := profiled(prog, cfgs)
+	base, err := profileProgram(prog, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Stats.CommMessages != 0 {
 		t.Fatalf("default shape is single-locale; saw %d comm messages", base.Stats.CommMessages)
 	}
-	same, err := profiled(prog, benchprog.HaloConfig{N: 64, Reps: 2}.Configs())
+	same, err := profileProgram(prog, benchprog.HaloConfig{N: 64, Reps: 2}.Configs())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if same != base {
 		t.Fatal("an equal config map missed the cached entry")
 	}
-	other, err := profiled(prog, benchprog.HaloConfig{N: 64, Reps: 3}.Configs())
+	other, err := profileProgram(prog, benchprog.HaloConfig{N: 64, Reps: 3}.Configs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestProfiledShapeConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(i, r int, c map[string]string) {
 				defer wg.Done()
-				res, err := profiled(prog, c)
+				res, err := profileProgram(prog, c)
 				if err != nil {
 					t.Error(err)
 					return
@@ -76,7 +76,7 @@ func TestProfiledShapeConcurrent(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if n := len(profMemo.m); n != len(cfgs) {
+	if n := profMemo.Len(); n != len(cfgs) {
 		t.Fatalf("memo holds %d entries for %d keys", n, len(cfgs))
 	}
 	for i := range cfgs {

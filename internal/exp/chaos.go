@@ -31,13 +31,10 @@ func TableChaos() (*Table, error) {
 
 	run := func(spec string) (vm.Stats, string, error) {
 		var out strings.Builder
-		// Explicit tweaks, not a Request's VMConfig: the study runs the
-		// aggregation runtime without a comm plan.
-		cfg := runConfig(res.Prog, cfgs)
-		cfg.NumLocales = 4
+		req := serve.Request{Configs: cfgs, Locales: 4, CommAggregate: true, FaultSpec: spec, FaultSeed: chaosSeed}
+		cfg := req.VMConfig(res.Prog)
 		cfg.Stdout = &out
-		cfg.CommAggregate = true
-		cfg.Fault = (&serve.Request{FaultSpec: spec, FaultSeed: chaosSeed}).Injector()
+		cfg.Fault = req.Injector()
 		stats, err := blame.Run(res.Prog, cfg)
 		if err != nil {
 			return vm.Stats{}, "", err

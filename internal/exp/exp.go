@@ -13,10 +13,8 @@ import (
 	"repro/internal/benchprog"
 	"repro/internal/blame"
 	"repro/internal/compile"
-	"repro/internal/ir"
 	"repro/internal/postmortem"
 	"repro/internal/serve"
-	"repro/internal/vm"
 )
 
 // Table is a rendered experiment result.
@@ -72,49 +70,42 @@ func (t *Table) Cell(rowKey string, col int) (string, bool) {
 	return "", false
 }
 
-// runConfig builds the default experiment VM config (12 cores, 1 locale,
-// 2.53 GHz — the paper's testbed): the run a request with only config
-// overrides describes.
-func runConfig(prog *ir.Program, cfgs map[string]string) vm.Config {
-	return (&serve.Request{Configs: cfgs}).VMConfig(prog)
-}
-
-// timeRun executes a compiled program and returns simulated seconds.
-func timeRun(res *compile.Result, cfgs map[string]string) (float64, error) {
-	cfg := runConfig(res.Prog, cfgs)
-	stats, err := vm.New(res.Prog, cfg).Run()
+// timeProgram compiles and times one benchmark program: one unmonitored
+// run under the default experiment config (12 cores, 1 locale, 2.53 GHz
+// — the paper's testbed). The run is memoized by serve.Unmonitored, so
+// one run per (program, fast, configs) serves every table that needs it,
+// and the calibration of that program's profile too.
+func timeProgram(p benchprog.Program, fast bool, cfgs map[string]string) (float64, error) {
+	res, err := p.Compile(compile.Options{Fast: fast})
 	if err != nil {
 		return 0, err
 	}
-	return stats.Seconds(cfg.ClockHz), nil
-}
-
-// timeProgram compiles and times one benchmark program. Results are
-// memoized (timedSeconds): the VM is deterministic, so one run per
-// (program, fast, configs) serves every table that needs it.
-func timeProgram(p benchprog.Program, fast bool, cfgs map[string]string) (float64, error) {
-	return timedSeconds(p, fast, cfgs)
+	cfg := (&serve.Request{Configs: cfgs}).VMConfig(res.Prog)
+	st, err := serve.Unmonitored(res.Prog, cfg)
+	if err != nil {
+		return 0, err
+	}
+	return st.Seconds(cfg.ClockHz), nil
 }
 
 // profileProgram runs the full blame pipeline on a benchmark with an
 // auto-scaled sampling threshold (the paper's fixed large prime assumes
 // multi-second runs; we target a few thousand samples). Results are
-// memoized (profiled): the LULESH profile backs five tables but runs
-// once.
+// memoized per (program, configs): the *blame.Result (profile, analysis,
+// sampler) is read-only for every consumer, so the LULESH profile runs
+// once and feeds Fig4, Table6, Table8, the baseline and the overhead
+// tables.
 func profileProgram(p benchprog.Program, cfgs map[string]string) (*blame.Result, error) {
-	return profiled(p, cfgs)
-}
-
-// profileUncached is the memoized body of profileProgram.
-func profileUncached(p benchprog.Program, cfgs map[string]string) (*blame.Result, error) {
-	res, err := p.Compile(compile.Options{})
-	if err != nil {
-		return nil, err
-	}
-	bc := blame.DefaultConfig()
-	bc.VM = runConfig(res.Prog, cfgs)
-	bc.Threshold = 0 // auto-scale, as the CLI does
-	return serve.Profile(res.Prog, &bc, nil, nil)
+	return profMemo.Get(profKey{p.Name, cfgKey(cfgs)}, func() (*blame.Result, error) {
+		res, err := p.Compile(compile.Options{})
+		if err != nil {
+			return nil, err
+		}
+		bc := blame.DefaultConfig()
+		bc.VM = (&serve.Request{Configs: cfgs}).VMConfig(res.Prog)
+		bc.Threshold = 0 // auto-scale, as the CLI does
+		return serve.Profile(res.Prog, &bc, nil, nil)
+	})
 }
 
 // blameRow formats a data-centric profile row for a table.

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/benchprog"
 	"repro/internal/blame"
 	"repro/internal/compile"
+	"repro/internal/serve"
 )
 
 // staticCase is one benchmark of the static-accuracy study: the program,
@@ -48,12 +48,9 @@ func staticRun(c staticCase) (*blame.Result, *cost.Prediction, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	req := serve.Request{Configs: c.Cfgs, Locales: c.NL, CommAggregate: c.Agg, CommInspector: c.Insp}
 	bc := blame.DefaultConfig()
-	bc.VM = runConfig(res.Prog, c.Cfgs)
-	bc.VM.NumLocales = c.NL
-	bc.VM.CommAggregate = c.Agg
-	bc.VM.CommInspector = c.Insp
-	bc.VM.Stdout = io.Discard
+	bc.VM = req.VMConfig(res.Prog)
 	r, err := blame.Profile(res.Prog, bc)
 	if err != nil {
 		return nil, nil, err

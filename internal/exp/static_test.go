@@ -9,6 +9,7 @@ import (
 	"repro/internal/analyze/cost"
 	"repro/internal/benchprog"
 	"repro/internal/compile"
+	"repro/internal/serve"
 	"repro/internal/views"
 )
 
@@ -70,9 +71,7 @@ func TestStaticPredictionDeterministic(t *testing.T) {
 	}
 	render := func() string {
 		opts := cost.DefaultOptions()
-		opts.VM = runConfig(res.Prog, benchprog.DefaultHalo.Configs())
-		opts.VM.NumLocales = 4
-		opts.VM.CommAggregate = true
+		opts.VM = (&serve.Request{Configs: benchprog.DefaultHalo.Configs(), Locales: 4, CommAggregate: true}).VMConfig(res.Prog)
 		return views.Predicted(cost.Predict(res.Prog, opts), 20)
 	}
 	want := render()

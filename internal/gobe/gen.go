@@ -43,8 +43,10 @@ import (
 // falling back to closed-form site formulas.
 // v11: runners embed serve.Execute, which now memoizes attribution per
 // instruction and calibration per run shape — stale runners would keep
-// the slow path; their bytes are unchanged.)
-const codegenVersion = 11
+// the slow path; their bytes are unchanged.
+// v12: runners link compile, core, vm and serve, whose memos are now
+// bounded — stale runners would keep every program they compiled.)
+const codegenVersion = 12
 
 // maxInlineInstrs caps how large an IR function gets inline codegen.
 // Every instruction expands to ~40-50 lines of guarded Go plus a

@@ -11,11 +11,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"repro/gobert"
 	"repro/internal/compile"
 	"repro/internal/ir"
+	"repro/internal/memo"
 	"repro/internal/serve"
 )
 
@@ -32,16 +32,17 @@ type Runner struct {
 	Bin    string
 }
 
-// buildMemo dedupes in-process builds of the same (program, options):
-// the second Build for an identical key returns the first one's result,
-// mirroring the compile memo layer this cache extends.
-var buildMemo sync.Map // string -> *buildEntry
-
-type buildEntry struct {
-	once sync.Once
-	r    *Runner
-	err  error
+// built is a memoized in-process build. A failed build is memoized with
+// it, so a broken runner is not rebuilt on every request.
+type built struct {
+	r   *Runner
+	err error
 }
+
+// builds dedupes in-process builds of the same (program, options): the
+// second Build for an identical key returns the first one's result,
+// mirroring the compile memo layer this cache extends.
+var builds = memo.New[string, built]("gobe")
 
 // Build code-generates, compiles and caches the runner for a program.
 // The cache is content-addressed: codegen version + compile options +
@@ -58,12 +59,11 @@ func Build(name, source string, opts compile.Options) (*Runner, error) {
 	}
 	fp := gobert.Fingerprint(res.Prog)
 	key := cacheKey(name, source, fp, opts)
-	e, _ := buildMemo.LoadOrStore(key, &buildEntry{})
-	entry := e.(*buildEntry)
-	entry.once.Do(func() {
-		entry.r, entry.err = build(res.Prog, name, source, opts, key)
+	b, _ := builds.Get(key, func() (built, error) {
+		r, err := build(res.Prog, name, source, opts, key)
+		return built{r, err}, nil
 	})
-	return entry.r, entry.err
+	return b.r, b.err
 }
 
 func cacheKey(name, source, fingerprint string, opts compile.Options) string {

@@ -14,9 +14,9 @@ import (
 // fault spec/seed, analysis options, view), so no two requests with
 // different semantics can alias an entry.
 //
-// Unlike the process-lifetime memos, a serving cache must bound memory:
-// each shard keeps an LRU list and evicts from the cold end once its
-// byte budget is exceeded. Sharding keeps lock hold times short under
+// Where the memos bound entries (memo.Max), a serving cache must bound
+// bytes: each shard keeps an LRU list and evicts from the cold end once
+// its byte budget is exceeded. Sharding keeps lock hold times short under
 // concurrent sessions; a key's shard is fixed by its hash, so per-shard
 // LRU order is still exact for the keys it owns.
 type Cache struct {

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"errors"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -13,19 +11,8 @@ import (
 	"repro/internal/vm"
 )
 
-// resetCalibrations empties the process-wide calibration memo.
-func resetCalibrations() {
-	calibrations.mu.Lock()
-	clear(calibrations.entries)
-	calibrations.mu.Unlock()
-}
-
-func memoized(k calibrationKey) bool {
-	calibrations.mu.Lock()
-	defer calibrations.mu.Unlock()
-	_, ok := calibrations.entries[k]
-	return ok
-}
+// resetCalibrations empties the process-wide unmonitored-run memo.
+func resetCalibrations() { unmonitored.Reset() }
 
 func compileBench(t *testing.T, name string) *ir.Program {
 	t.Helper()
@@ -189,7 +176,7 @@ func TestCalibrationSharedPerRunShape(t *testing.T) {
 	cfg.Fault = (&Request{FaultSpec: "loss=0.1"}).Injector()
 	before := calibrationRuns.Load()
 	for i := 0; i < 2; i++ {
-		if _, err := calibrate(prog, cfg); err != nil {
+		if _, err := Unmonitored(prog, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,10 +188,7 @@ func TestCalibrationSharedPerRunShape(t *testing.T) {
 	if n := runs(Request{Bench: "fig1", Locales: 2, Threshold: 1001}); n != 0 {
 		t.Fatalf("thresholded request: %d calibration runs, want 0", n)
 	}
-	calibrations.mu.Lock()
-	size := len(calibrations.entries)
-	calibrations.mu.Unlock()
-	if size != 0 {
+	if size := unmonitored.Len(); size != 0 {
 		t.Fatalf("thresholded request left %d memo entries", size)
 	}
 }
@@ -225,8 +209,8 @@ func TestCalibrationCancelledNotMemoized(t *testing.T) {
 	if _, err := Profile(prog, &cfg, nil, nil); err == nil || calibrationRuns.Load() != before+1 {
 		t.Fatalf("cancelled calibration: err %v after %d runs, want an error after 1", err, calibrationRuns.Load()-before)
 	}
-	if key := newCalibrationKey(prog, &cfg.VM); memoized(key) {
-		t.Fatal("cancelled calibration was memoized")
+	if n := unmonitored.Len(); n != 0 {
+		t.Fatalf("cancelled calibration was memoized (%d entries)", n)
 	}
 	before = calibrationRuns.Load()
 	for i := 0; i < 2; i++ {
@@ -268,70 +252,5 @@ func TestCalibrationFaultBytesColdWarm(t *testing.T) {
 	if cold.Text != warm.Text || string(cold.ProfileJSON) != string(warm.ProfileJSON) ||
 		cold.Output != warm.Output || cold.Threshold != warm.Threshold || !reflect.DeepEqual(cold.Stats, warm.Stats) {
 		t.Fatal("fault-injected outcome differs between a cold and a warm calibration memo")
-	}
-}
-
-// TestCalibrationMemoConcurrent: concurrent identical lookups run once,
-// and waiters on a failed run retry with their own run instead of
-// inheriting its error.
-func TestCalibrationMemoConcurrent(t *testing.T) {
-	m := newCalibrationMemo()
-	var calls atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := m.cycles(calibrationKey{quantum: 1}, func() (uint64, error) {
-				calls.Add(1)
-				return 42, nil
-			})
-			if c != 42 || err != nil {
-				t.Errorf("cycles = %d, %v", c, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("%d runs for 8 concurrent identical lookups, want 1", n)
-	}
-
-	errCancelled := errors.New("cancelled")
-	k := calibrationKey{quantum: 2}
-	started, release := make(chan struct{}), make(chan struct{})
-	go func() {
-		m.cycles(k, func() (uint64, error) {
-			close(started)
-			<-release
-			return 0, errCancelled
-		})
-	}()
-	<-started
-	done := make(chan error)
-	go func() {
-		_, err := m.cycles(k, func() (uint64, error) { return 9, nil })
-		done <- err
-	}()
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("waiter inherited a failed run's error: %v", err)
-	}
-	if c, err := m.cycles(k, func() (uint64, error) { return 0, errors.New("ran again") }); c != 9 || err != nil {
-		t.Fatalf("after retry: cycles = %d, %v; want the waiter's memoized 9", c, err)
-	}
-}
-
-// TestCalibrationMemoBound pins the memo's bound: it never holds more
-// than calibrationMemoMax run shapes.
-func TestCalibrationMemoBound(t *testing.T) {
-	if calibrationMemoMax != 4096 {
-		t.Fatalf("calibrationMemoMax = %d, want 4096", calibrationMemoMax)
-	}
-	m := newCalibrationMemo()
-	for i := 0; i < calibrationMemoMax+500; i++ {
-		m.cycles(calibrationKey{maxCycles: uint64(i)}, func() (uint64, error) { return 1, nil })
-	}
-	if n := len(m.entries); n != calibrationMemoMax {
-		t.Fatalf("memo holds %d entries, want the bound %d", n, calibrationMemoMax)
 	}
 }

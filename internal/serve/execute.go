@@ -107,11 +107,11 @@ func (o *Outcome) sizeBytes() int64 {
 // started, when non-nil, is called right before the profiled run.
 func Profile(prog *ir.Program, cfg *blame.Config, inj *fault.Injector, started func()) (*blame.Result, error) {
 	if cfg.Threshold == 0 {
-		cycles, err := calibrate(prog, cfg.VM)
+		st, err := Unmonitored(prog, cfg.VM)
 		if err != nil {
 			return nil, err
 		}
-		th := cycles / 4001
+		th := st.TotalCycles / 4001
 		if th < 101 {
 			th = 101
 		}

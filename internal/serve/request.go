@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"repro/internal/analyze"
+	"repro/internal/benchprog"
 	"repro/internal/comm"
 	"repro/internal/fault"
 	"repro/internal/ir"
@@ -187,6 +188,17 @@ func (r *Request) Normalize() error {
 	return nil
 }
 
+// ResolveBench maps a built-in benchmark name to its embedded source.
+// Shared by cmd/blame (-bench) and the server's request schema, so both
+// paths profile the identical program text.
+func ResolveBench(name string) (src, progName string, err error) {
+	p, ok := benchprog.Builtin(name)
+	if !ok {
+		return "", "", fmt.Errorf("unknown benchmark %q", name)
+	}
+	return p.Source, p.Name, nil
+}
+
 // commAggregate reports whether the run uses the aggregation runtime:
 // the inspector–executor rides on it, so the inspector implies it.
 func (r *Request) commAggregate() bool { return r.CommAggregate || r.CommInspector }
@@ -268,6 +280,22 @@ func BindRunFlags(fs *flag.FlagSet, r *Request) func() error {
 		_, err := fault.ParseSpec(r.FaultSpec)
 		return err
 	}
+}
+
+// ParseConfigs extracts the Chapel-style config const overrides
+// (--name=value) among a command line's positional arguments.
+func ParseConfigs(args []string) map[string]string {
+	out := make(map[string]string)
+	for _, a := range args {
+		if !strings.HasPrefix(a, "--") {
+			continue
+		}
+		kv := strings.SplitN(strings.TrimPrefix(a, "--"), "=", 2)
+		if len(kv) == 2 {
+			out[kv[0]] = kv[1]
+		}
+	}
+	return out
 }
 
 // Key returns the content-addressed cache key of a normalized request:

@@ -1,9 +1,8 @@
 package vm
 
 import (
-	"sync"
-
 	"repro/internal/ir"
+	"repro/internal/memo"
 	"repro/internal/token"
 )
 
@@ -155,10 +154,7 @@ type costTabKey struct {
 	costs CostModel
 }
 
-var (
-	costTabMu    sync.Mutex
-	costTabCache = make(map[costTabKey][]uint64)
-)
+var costTabs = memo.New[costTabKey, []uint64]("vm.cost")
 
 // costTable returns the per-instruction static cost, indexed by the dense
 // Instr.Addr that Program.Finalize assigns. The table folds in the --fast
@@ -167,12 +163,13 @@ var (
 // load. Tables are immutable and shared across all VMs of the same
 // (program, cost model) — dozens per experiment suite.
 func costTable(prog *ir.Program, c CostModel) []uint64 {
-	k := costTabKey{prog: prog, costs: c}
-	costTabMu.Lock()
-	defer costTabMu.Unlock()
-	if tab, ok := costTabCache[k]; ok {
-		return tab
-	}
+	tab, _ := costTabs.Get(costTabKey{prog: prog, costs: c}, func() ([]uint64, error) {
+		return buildCostTable(prog, c), nil
+	})
+	return tab
+}
+
+func buildCostTable(prog *ir.Program, c CostModel) []uint64 {
 	// Per-function i-cache pressure surcharge (same arithmetic as the
 	// previous per-step computation, applied per instruction).
 	surcharge := make(map[*ir.Func]uint64)
@@ -201,7 +198,6 @@ func costTable(prog *ir.Program, c CostModel) []uint64 {
 		}
 		tab[in.Addr] = cycles
 	}
-	costTabCache[k] = tab
 	return tab
 }
 
