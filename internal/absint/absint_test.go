@@ -126,7 +126,7 @@ proc main() {
 		t.Fatal("no var s in compiled main")
 	}
 	last := main.Blocks[len(main.Blocks)-1]
-	env, ok := r.Out(d, last)
+	env, ok := r.Out(last)
 	if !ok {
 		t.Fatalf("no out state for b%d", last.ID)
 	}
@@ -167,7 +167,7 @@ proc main() {
 		if !r.Reached[b.ID] {
 			t.Fatalf("block b%d not reached with pinned induction variable", b.ID)
 		}
-		env, ok := r.Out(d, b)
+		env, ok := r.Out(b)
 		if !ok {
 			continue
 		}

@@ -72,8 +72,6 @@ type IntDomain struct {
 	RebindsParam func(callee *ir.Func, i int) bool
 }
 
-var _ Domain[*Env] = (*IntDomain)(nil)
-
 func (d *IntDomain) mayRebind(callee *ir.Func, i int) bool {
 	if callee == nil {
 		return true
@@ -221,9 +219,6 @@ func (d *IntDomain) Transfer(s *Env, in *ir.Instr) *Env {
 		if av.Kind == VDomain {
 			out := av
 			out.Kind = VArray
-			if at, ok := in.Dst.Type.(*types.ArrayType); ok && at.Elem != nil {
-				out.ElemSz = at.Elem.Size()
-			}
 			set(out)
 		} else {
 			set(Top())
@@ -504,7 +499,6 @@ func (d *IntDomain) evalQuery(s *Env, in *ir.Instr) Val {
 		if v.Kind == VArray {
 			out := v
 			out.Kind = VDomain
-			out.ElemSz = 0
 			return out
 		}
 	case "dimlow":

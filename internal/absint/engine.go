@@ -5,28 +5,6 @@ import (
 	"repro/internal/ir"
 )
 
-// Domain is the lattice + transfer interface a concrete abstract domain
-// implements. States S are treated as immutable by the engine: Transfer
-// and Refine must copy-on-write (Copy is provided for that), and Join /
-// Widen must return a fresh state (or one of their operands unchanged).
-type Domain[S any] interface {
-	// Entry is the state at function entry.
-	Entry(f *ir.Func) S
-	// Copy returns an independent copy of s.
-	Copy(s S) S
-	// Join returns the least upper bound and whether it differs from a.
-	Join(a, b S) (S, bool)
-	// Widen is Join with extrapolation, applied at loop headers to force
-	// termination; it also reports change relative to a.
-	Widen(a, b S) (S, bool)
-	// Transfer applies one instruction.
-	Transfer(s S, in *ir.Instr) S
-	// Refine sharpens s with the knowledge that branch in went the taken
-	// (then) or not-taken (else) way. Return s unchanged when nothing is
-	// known.
-	Refine(s S, in *ir.Instr, taken bool) S
-}
-
 // widenAfter is how many times a loop header is re-joined before the
 // engine switches from Join to Widen there. A couple of plain joins first
 // lets short ascending chains (constant → small interval) stabilize
@@ -38,21 +16,21 @@ const widenAfter = 3
 const maxPasses = 64
 
 // Result holds the fixpoint: the abstract state at entry to each block.
-type Result[S any] struct {
-	Fn      *ir.Func
-	In      []S    // indexed by block ID; valid only where Reached
+type Result struct {
+	In      []*Env // indexed by block ID; valid only where Reached
 	Reached []bool // block reachable under the abstraction
+	d       *IntDomain
 }
 
 // Run computes the forward dataflow fixpoint of d over f: reverse
 // postorder sweeps with Join at merge points and Widen at natural-loop
 // headers once a header has been visited widenAfter times.
-func Run[S any](f *ir.Func, d Domain[S]) *Result[S] {
+func Run(f *ir.Func, d *IntDomain) *Result {
 	n := len(f.Blocks)
-	res := &Result[S]{
-		Fn:      f,
-		In:      make([]S, n),
+	res := &Result{
+		In:      make([]*Env, n),
 		Reached: make([]bool, n),
+		d:       d,
 	}
 	if n == 0 {
 		return res
@@ -65,7 +43,7 @@ func Run[S any](f *ir.Func, d Domain[S]) *Result[S] {
 	for pass := 0; pass < maxPasses; pass++ {
 		changed := false
 		for _, b := range rpo {
-			var s S
+			var s *Env
 			have := false
 			if b == entry {
 				s = d.Entry(f)
@@ -75,7 +53,7 @@ func Run[S any](f *ir.Func, d Domain[S]) *Result[S] {
 				if !res.Reached[p.ID] {
 					continue
 				}
-				ps := outState(d, res.In[p.ID], p, b)
+				ps := res.outState(res.In[p.ID], p, b)
 				if !have {
 					s, have = ps, true
 				} else {
@@ -109,49 +87,47 @@ func Run[S any](f *ir.Func, d Domain[S]) *Result[S] {
 
 // outState transfers p's entry state through its body and refines along
 // the edge p → succ when p ends in a branch.
-func outState[S any](d Domain[S], in S, p, succ *ir.Block) S {
-	s := d.Copy(in)
+func (r *Result) outState(in *Env, p, succ *ir.Block) *Env {
+	s := r.d.Copy(in)
 	for _, instr := range p.Instrs {
-		s = d.Transfer(s, instr)
+		s = r.d.Transfer(s, instr)
 	}
 	if t := p.Terminator(); t != nil && t.Op == ir.OpBr && len(t.Targets) == 2 {
 		if t.Targets[0] == succ && t.Targets[1] != succ {
-			s = d.Refine(s, t, true)
+			s = r.d.Refine(s, t, true)
 		} else if t.Targets[1] == succ && t.Targets[0] != succ {
-			s = d.Refine(s, t, false)
+			s = r.d.Refine(s, t, false)
 		}
 	}
 	return s
 }
 
 // At replays the block prefix to produce the abstract state immediately
-// before instr. Returns the zero S and false when instr's block was not
+// before instr. Returns nil and false when instr's block was not
 // reached.
-func (r *Result[S]) At(d Domain[S], instr *ir.Instr) (S, bool) {
+func (r *Result) At(instr *ir.Instr) (*Env, bool) {
 	b := instr.Block
 	if b == nil || b.ID >= len(r.Reached) || !r.Reached[b.ID] {
-		var zero S
-		return zero, false
+		return nil, false
 	}
-	s := d.Copy(r.In[b.ID])
+	s := r.d.Copy(r.In[b.ID])
 	for _, in := range b.Instrs {
 		if in == instr {
 			return s, true
 		}
-		s = d.Transfer(s, in)
+		s = r.d.Transfer(s, in)
 	}
 	return s, true
 }
 
 // Out replays the whole block to produce the abstract state at its end.
-func (r *Result[S]) Out(d Domain[S], b *ir.Block) (S, bool) {
+func (r *Result) Out(b *ir.Block) (*Env, bool) {
 	if b == nil || b.ID >= len(r.Reached) || !r.Reached[b.ID] {
-		var zero S
-		return zero, false
+		return nil, false
 	}
-	s := d.Copy(r.In[b.ID])
+	s := r.d.Copy(r.In[b.ID])
 	for _, in := range b.Instrs {
-		s = d.Transfer(s, in)
+		s = r.d.Transfer(s, in)
 	}
 	return s, true
 }

@@ -336,13 +336,12 @@ func (r RangeInfo) Size() NumVal {
 
 // Val is an abstract value.
 type Val struct {
-	Kind   VKind
-	Num    NumVal
-	B      Bool
-	Rank   int
-	Dims   [3]RangeInfo
-	Dist   bool  // Block-distributed (domains/arrays)
-	ElemSz int64 // array element size in bytes (0 = unknown)
+	Kind VKind
+	Num  NumVal
+	B    Bool
+	Rank int
+	Dims [3]RangeInfo
+	Dist bool // Block-distributed (domains/arrays)
 }
 
 // Top is the unconstrained abstract value.
@@ -444,10 +443,7 @@ func (v Val) merge(o Val, widen bool) Val {
 		if v.Rank != o.Rank || v.Dist != o.Dist {
 			return Top()
 		}
-		out.Rank, out.Dist, out.ElemSz = v.Rank, v.Dist, v.ElemSz
-		if v.ElemSz != o.ElemSz {
-			out.ElemSz = 0
-		}
+		out.Rank, out.Dist = v.Rank, v.Dist
 		nd := v.Rank
 		if v.Kind == VRange {
 			nd = 1
@@ -477,7 +473,7 @@ func (v Val) equal(o Val) bool {
 	case VBool:
 		return v.B == o.B
 	case VRange, VDomain, VArray:
-		if v.Rank != o.Rank || v.Dist != o.Dist || v.ElemSz != o.ElemSz {
+		if v.Rank != o.Rank || v.Dist != o.Dist {
 			return false
 		}
 		nd := v.Rank

@@ -70,32 +70,6 @@ func (p *Prediction) Row(name string) (VarPred, bool) {
 	return VarPred{}, false
 }
 
-// TopN returns the first n predicted variable names (paths excluded),
-// the join keys the accuracy table compares against the dynamic top-N.
-func (p *Prediction) TopN(n int) []string {
-	var out []string
-	for _, r := range p.Vars {
-		if r.IsPath {
-			continue
-		}
-		out = append(out, r.Name)
-		if len(out) == n {
-			break
-		}
-	}
-	return out
-}
-
-// BlameMap returns Name → predicted blame share for the advisor's
-// predicted-vs-measured column.
-func (p *Prediction) BlameMap() map[string]float64 {
-	out := make(map[string]float64, len(p.Vars))
-	for _, r := range p.Vars {
-		out[r.Name] = r.Blame
-	}
-	return out
-}
-
 // Diags renders the prediction as analyzer findings (pass "static-cost")
 // so it can ride the same reporting pipeline as the lint passes.
 func (p *Prediction) Diags(limit int) []analyze.Diag {
@@ -166,8 +140,7 @@ func newPredictor(prog *ir.Program, opts Options) *predictor {
 		costs:    opts.VM.Costs,
 		seeds:    make(map[*ir.Func]map[*ir.Var]absint.Val),
 		pins:     make(map[*ir.Func]map[*ir.Var]absint.Val),
-		doms:     make(map[*ir.Func]*absint.IntDomain),
-		res:      make(map[*ir.Func]*absint.Result[*absint.Env]),
+		res:      make(map[*ir.Func]*absint.Result),
 		loops:    make(map[*ir.Func][]*cfg.Loop),
 		trips:    make(map[*cfg.Loop]absint.NumVal),
 		mids:     make(map[*ir.Var]float64),
@@ -474,9 +447,8 @@ func (p *predictor) bulkSize(f *ir.Func, in *ir.Instr, v *ir.Var) int64 {
 	case *types.TupleType:
 		return int64(t.Count)
 	case *types.ArrayType:
-		d, r := p.doms[f], p.res[f]
-		if d != nil && r != nil {
-			if env, ok := r.At(d, in); ok {
+		if r := p.res[f]; r != nil {
+			if env, ok := r.At(in); ok {
 				av := env.Get(v)
 				if n, okc := av.TripCount().IsConst(); okc && n > 0 {
 					return n
@@ -498,11 +470,11 @@ func (p *predictor) bulkSize(f *ir.Func, in *ir.Instr, v *ir.Var) int64 {
 // arraySize is the abstract element count of the domain an OpAllocArray
 // allocates over.
 func (p *predictor) arraySize(f *ir.Func, in *ir.Instr) float64 {
-	d, r := p.doms[f], p.res[f]
-	if d == nil || r == nil {
+	r := p.res[f]
+	if r == nil {
 		return 1
 	}
-	env, ok := r.At(d, in)
+	env, ok := r.At(in)
 	if !ok {
 		return 1
 	}

@@ -53,8 +53,7 @@ type predictor struct {
 	// Per-function abstract interpretation state.
 	seeds map[*ir.Func]map[*ir.Var]absint.Val
 	pins  map[*ir.Func]map[*ir.Var]absint.Val
-	doms  map[*ir.Func]*absint.IntDomain
-	res   map[*ir.Func]*absint.Result[*absint.Env]
+	res   map[*ir.Func]*absint.Result
 	loops map[*ir.Func][]*cfg.Loop
 	trips map[*cfg.Loop]absint.NumVal
 	mids  map[*ir.Var]float64 // pinned symbol → interval midpoint
@@ -237,10 +236,9 @@ func (p *predictor) analyzeFunc(f *ir.Func) {
 	}
 	p.pinIndexParams(f)
 	for round := 0; round < 4; round++ {
-		d := p.newDomain(f)
-		r := absint.Run[*absint.Env](f, d)
-		p.doms[f], p.res[f] = d, r
-		if !p.pinInductionVars(f, d, r) {
+		r := absint.Run(f, p.newDomain(f))
+		p.res[f] = r
+		if !p.pinInductionVars(f, r) {
 			break
 		}
 	}
@@ -279,11 +277,11 @@ func (p *predictor) spawnSpace(sp *ir.Instr) absint.Val {
 		return absint.Top()
 	}
 	spawner := sp.Block.Func
-	d, r := p.doms[spawner], p.res[spawner]
-	if d == nil || r == nil {
+	r := p.res[spawner]
+	if r == nil {
 		return absint.Top()
 	}
-	env, ok := r.At(d, sp)
+	env, ok := r.At(sp)
 	if !ok {
 		return absint.Top()
 	}
@@ -304,12 +302,12 @@ func (p *predictor) spawnSpace(sp *ir.Instr) absint.Val {
 // analyze.constTrip matches: head condition iv <= hi, init by move
 // outside the loop, constant-step increment inside) and pins their
 // induction variables. Reports whether any new pin was added.
-func (p *predictor) pinInductionVars(f *ir.Func, d *absint.IntDomain, r *absint.Result[*absint.Env]) bool {
+func (p *predictor) pinInductionVars(f *ir.Func, r *absint.Result) bool {
 	loops := cfg.NaturalLoops(f)
 	p.loops[f] = loops
 	added := false
 	for _, l := range loops {
-		iv, lo, hi, step, ok := p.countedLoop(f, l, d, r)
+		iv, lo, hi, step, ok := p.countedLoop(f, l, r)
 		if !ok {
 			continue
 		}
@@ -342,38 +340,24 @@ func tripOf(lo, hi absint.NumVal, step int64) absint.NumVal {
 	return n
 }
 
-var debugCL = func(string) {}
-
 // countedLoop matches l against the counted-loop shape and returns the
 // induction variable, its abstract bounds and the constant step.
-func (p *predictor) countedLoop(f *ir.Func, l *cfg.Loop, d *absint.IntDomain, r *absint.Result[*absint.Env]) (iv *ir.Var, lo, hi absint.NumVal, step int64, ok bool) {
+func (p *predictor) countedLoop(f *ir.Func, l *cfg.Loop, r *absint.Result) (iv *ir.Var, lo, hi absint.NumVal, step int64, ok bool) {
 	head := l.Head
 	term := head.Terminator()
 	if term == nil || term.Op != ir.OpBr || term.A == nil {
-		{
-			debugCL("fail1")
-			return nil, lo, hi, 0, false
-		}
+		return nil, lo, hi, 0, false
 	}
 	def := defIn(head, term.A, term)
 	if def == nil || def.Op != ir.OpBin {
-		{
-			debugCL("fail2")
-			return nil, lo, hi, 0, false
-		}
+		return nil, lo, hi, 0, false
 	}
 	if def.BinOp != token.LE && def.BinOp != token.LT {
-		{
-			debugCL("fail3")
-			return nil, lo, hi, 0, false
-		}
+		return nil, lo, hi, 0, false
 	}
 	iv = def.A
 	if iv == nil || !l.Contains(term.Targets[0]) {
-		{
-			debugCL("fail4")
-			return nil, lo, hi, 0, false
-		}
+		return nil, lo, hi, 0, false
 	}
 	// Step: an in-loop self-increment iv = iv + c (possibly through a
 	// temp move).
@@ -400,7 +384,7 @@ func (p *predictor) countedLoop(f *ir.Func, l *cfg.Loop, d *absint.IntDomain, r 
 					cvar = src.A
 				}
 				if cvar != nil {
-					if env, okAt := r.At(d, src); okAt {
+					if env, okAt := r.At(src); okAt {
 						if c, isC := env.Get(cvar).AsNum().IsConst(); isC && c > 0 {
 							step = c
 						}
@@ -410,10 +394,7 @@ func (p *predictor) countedLoop(f *ir.Func, l *cfg.Loop, d *absint.IntDomain, r 
 		}
 	}
 	if step == 0 {
-		{
-			debugCL("fail5")
-			return nil, lo, hi, 0, false
-		}
+		return nil, lo, hi, 0, false
 	}
 	// Lower bound: join of iv over the entry edges (preds outside the
 	// loop, post-transfer).
@@ -422,7 +403,7 @@ func (p *predictor) countedLoop(f *ir.Func, l *cfg.Loop, d *absint.IntDomain, r 
 		if l.Contains(pred) {
 			continue
 		}
-		out, okOut := r.Out(d, pred)
+		out, okOut := r.Out(pred)
 		if !okOut {
 			continue
 		}
@@ -434,28 +415,21 @@ func (p *predictor) countedLoop(f *ir.Func, l *cfg.Loop, d *absint.IntDomain, r 
 		}
 	}
 	if !loSet {
-		{
-			debugCL("fail6")
-			return nil, lo, hi, 0, false
-		}
+		return nil, lo, hi, 0, false
 	}
 	// On re-analysis rounds the entry value is masked by iv's own pin
 	// (iv = sym(iv) over [lo0, hi0]); recover the original lower bound
 	// from the pin range's floor.
 	if lo.Aff != nil && lo.Aff.Terms[iv] != 0 {
 		if lo.Rng.Lo <= -absint.Inf {
-			debugCL("fail-pinlo")
 			return nil, lo, hi, 0, false
 		}
 		lo = absint.ConstNum(lo.Rng.Lo)
 	}
 	// Upper bound: the comparison's right side at the head.
-	env, okAt := r.At(d, def)
+	env, okAt := r.At(def)
 	if !okAt {
-		{
-			debugCL("fail7")
-			return nil, lo, hi, 0, false
-		}
+		return nil, lo, hi, 0, false
 	}
 	hi = env.Get(def.B).AsNum()
 	if def.BinOp == token.LT {
@@ -619,11 +593,11 @@ func calleesOf(in *ir.Instr) []*ir.Func {
 // seedCall joins the abstract arguments at one call/spawn site into the
 // callee's parameter seeds. Reports change.
 func (p *predictor) seedCall(f *ir.Func, in *ir.Instr, callee *ir.Func, bodyIx int) bool {
-	d, r := p.doms[f], p.res[f]
-	if d == nil || r == nil {
+	r := p.res[f]
+	if r == nil {
 		return false
 	}
-	env, ok := r.At(d, in)
+	env, ok := r.At(in)
 	if !ok {
 		return false
 	}
@@ -675,8 +649,8 @@ func (p *predictor) moduleGlobals(base map[*ir.Var]absint.Val) map[*ir.Var]absin
 		out[v] = x
 	}
 	mi := p.prog.ModuleInit
-	d, r := p.doms[mi], p.res[mi]
-	if d == nil || r == nil {
+	r := p.res[mi]
+	if r == nil {
 		return out
 	}
 	for _, b := range mi.Blocks {
@@ -684,7 +658,7 @@ func (p *predictor) moduleGlobals(base map[*ir.Var]absint.Val) map[*ir.Var]absin
 		if term == nil || term.Op != ir.OpRet {
 			continue
 		}
-		env, ok := r.Out(d, b)
+		env, ok := r.Out(b)
 		if !ok {
 			continue
 		}
@@ -714,7 +688,7 @@ func (p *predictor) frequencies() {
 func (p *predictor) funcFreq(f *ir.Func) []float64 {
 	n := len(f.Blocks)
 	freq := make([]float64, n)
-	d, r := p.doms[f], p.res[f]
+	r := p.res[f]
 	loops := p.loops[f]
 	dom := cfg.Dominators(f)
 	cdeps := cfg.ControlDeps(f)
@@ -749,7 +723,7 @@ func (p *predictor) funcFreq(f *ir.Func) []float64 {
 			if !known {
 				continue
 			}
-			w *= p.branchProb(f, d, r, br, side)
+			w *= p.branchProb(r, br, side)
 		}
 		freq[b.ID] = w
 	}
@@ -805,8 +779,8 @@ func branchSide(dom *cfg.DomTree, br *ir.Instr, b *ir.Block) (taken bool, known 
 }
 
 // branchProb estimates P(branch taken-side == side).
-func (p *predictor) branchProb(f *ir.Func, d *absint.IntDomain, r *absint.Result[*absint.Env], br *ir.Instr, side bool) float64 {
-	env, ok := r.At(d, br)
+func (p *predictor) branchProb(r *absint.Result, br *ir.Instr, side bool) float64 {
+	env, ok := r.At(br)
 	if !ok {
 		return 0.5
 	}

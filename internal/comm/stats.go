@@ -79,12 +79,6 @@ func (s *Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(n)
 }
 
-// CoalescedElems returns the elements moved by multi-element messages.
-func (s *Stats) CoalescedElems() int64 {
-	return s.PrefetchedElems + s.StreamedElems + s.FlushedElems +
-		s.GatheredElems + s.ReplicatedElems
-}
-
 // inspectorActive reports whether any inspector–executor counter is
 // nonzero; Render only emits the inspector line then, so runs without
 // the inspector keep their historical (golden-pinned) rendering.

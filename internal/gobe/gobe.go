@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,9 +15,7 @@ import (
 
 	"repro/gobert"
 	"repro/internal/compile"
-	"repro/internal/ir"
 	"repro/internal/memo"
-	"repro/internal/serve"
 )
 
 // ErrNoGoToolchain is returned (wrapped) when -backend=go is requested
@@ -44,54 +43,107 @@ type built struct {
 // mirroring the compile memo layer this cache extends.
 var builds = memo.New[string, built]("gobe")
 
+// digests memoizes sourceDigest by checkout root, so a process walks the
+// support sources once rather than once per Build.
+var digests = memo.New[string, string]("gobe.sources")
+
 // Build code-generates, compiles and caches the runner for a program.
-// The cache is content-addressed: codegen version + compile options +
-// program name + source text + the IR fingerprint. Name and source are
-// part of the key because the binary embeds them verbatim and its
-// outcome mode rejects requests for any other program — two builds of
-// IR-identical programs under different names must not share a binary.
-// Cached binaries are reused across processes; the in-process memo also
+// The cache key is a pure function of what the binary is made of: the
+// program name, source text and compile options, plus sourceDigest of
+// the checkout the runner links. Name and source are part of the key
+// because the binary embeds them verbatim and its outcome mode rejects
+// requests for any other program — two builds of IR-identical programs
+// under different names must not share a binary. The digest covers the
+// frontend, so the IR fingerprint needs no place in the key: the cache
+// is checked first and the program is compiled only on a miss. Cached
+// binaries are reused across processes; the in-process memo also
 // dedupes concurrent builds.
 func Build(name, source string, opts compile.Options) (*Runner, error) {
-	res, err := compile.SourceCached(name, source, opts)
+	root, err := moduleRoot()
 	if err != nil {
 		return nil, err
 	}
-	fp := gobert.Fingerprint(res.Prog)
-	key := cacheKey(name, source, fp, opts)
+	digest, err := digests.Get(root, func() (string, error) { return sourceDigest(root) })
+	if err != nil {
+		return nil, fmt.Errorf("hashing the runner's support sources: %w", err)
+	}
+	key := cacheKey(name, source, digest, opts)
 	b, _ := builds.Get(key, func() (built, error) {
-		r, err := build(res.Prog, name, source, opts, key)
+		r, err := build(root, name, source, opts, key)
 		return built{r, err}, nil
 	})
 	return b.r, b.err
 }
 
-func cacheKey(name, source, fingerprint string, opts compile.Options) string {
+func cacheKey(name, source, digest string, opts compile.Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v%d opts=%+v fp=%s name=%s src=%x",
-		codegenVersion, opts, fingerprint, name, sha256.Sum256([]byte(source)))
+	fmt.Fprintf(h, "opts=%+v support=%s name=%q src=%x",
+		opts, digest, name, sha256.Sum256([]byte(source)))
 	return hex.EncodeToString(h.Sum(nil))[:24]
 }
 
-func build(prog *ir.Program, name, source string, opts compile.Options, key string) (*Runner, error) {
+// sourceDigest hashes the support sources a runner links from the
+// checkout at root: go.mod and every non-test .go file under gobert/ and
+// internal/, skipping testdata/. Each file is framed by its path and
+// length. The set is a superset of the runner's link graph (it also
+// holds this code generator and a few packages no runner imports),
+// which can only cost a needless rebuild, never a stale reuse.
+func sourceDigest(root string) (string, error) {
+	h := sha256.New()
+	add := func(path string) error {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(h, "%s %d\n", filepath.ToSlash(rel), len(b))
+		h.Write(b)
+		return nil
+	}
+	if err := add(filepath.Join(root, "go.mod")); err != nil {
+		return "", err
+	}
+	for _, dir := range []string{"gobert", "internal"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && d.Name() == "testdata":
+				return filepath.SkipDir
+			case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+				return nil
+			}
+			return add(path)
+		})
+		if err != nil {
+			return "", err
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+func build(root, name, source string, opts compile.Options, key string) (*Runner, error) {
 	dir := filepath.Join(cacheRoot(), key)
 	bin := filepath.Join(dir, "runner")
 	r := &Runner{Name: name, Source: source, Opts: opts, Bin: bin}
 	if st, err := os.Stat(bin); err == nil && st.Mode().IsRegular() {
 		return r, nil // content-addressed: an existing binary is current
 	}
+	res, err := compile.SourceCached(name, source, opts)
+	if err != nil {
+		return nil, err
+	}
 	goBin, err := exec.LookPath("go")
 	if err != nil {
 		return nil, fmt.Errorf("%w (building runner for %s)", ErrNoGoToolchain, name)
 	}
-	root, err := moduleRoot()
-	if err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	mainSrc := Generate(prog, name, source, opts)
+	mainSrc := Generate(res.Prog, name, source, opts)
 	if err := os.WriteFile(filepath.Join(dir, "main.go"), []byte(mainSrc), 0o644); err != nil {
 		return nil, err
 	}
@@ -128,9 +180,10 @@ func cacheRoot() string {
 	return filepath.Join(os.TempDir(), "mchpl-gobe")
 }
 
-// moduleRoot locates the repro module on disk (for the generated
-// runner's replace directive): $MCHPL_REPO_ROOT, else walk up from the
-// working directory to a go.mod declaring `module repro`.
+// moduleRoot locates the repro checkout on disk (for the generated
+// runner's replace directive and sourceDigest): $MCHPL_REPO_ROOT, else
+// walk up from the working directory to a go.mod whose module directive
+// is exactly `repro` — not a nested module such as repro/perfbench.
 func moduleRoot() (string, error) {
 	if d := os.Getenv("MCHPL_REPO_ROOT"); d != "" {
 		return d, nil
@@ -141,7 +194,7 @@ func moduleRoot() (string, error) {
 	}
 	for {
 		b, err := os.ReadFile(filepath.Join(dir, "go.mod"))
-		if err == nil && strings.Contains(string(b), "module repro") {
+		if err == nil && modulePath(b) == "repro" {
 			return dir, nil
 		}
 		parent := filepath.Dir(dir)
@@ -150,6 +203,16 @@ func moduleRoot() (string, error) {
 		}
 		dir = parent
 	}
+}
+
+// modulePath returns the path a go.mod's module directive declares.
+func modulePath(gomod []byte) string {
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == "module" {
+			return strings.Trim(f[1], `"`)
+		}
+	}
+	return ""
 }
 
 // Exec runs the runner subprocess on one RunSpec.
@@ -175,13 +238,4 @@ func (r *Runner) Exec(spec *gobert.RunSpec) (*gobert.Reply, error) {
 		return nil, fmt.Errorf("runner: %s", reply.Err)
 	}
 	return &reply, nil
-}
-
-// Outcome runs the full serve.Execute pipeline inside the runner — the
-// compiled-backend equivalent of cmd/blame and the HTTP daemon path.
-func (r *Runner) Outcome(req *serve.Request) (*gobert.Reply, error) {
-	req2 := *req
-	req2.Name = r.Name
-	req2.Source = r.Source
-	return r.Exec(&gobert.RunSpec{Mode: "outcome", Request: &req2})
 }

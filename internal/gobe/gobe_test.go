@@ -170,3 +170,118 @@ func TestNoToolchainError(t *testing.T) {
 		t.Fatalf("error message should mention the backend: %v", err)
 	}
 }
+
+// writeTree writes files (slash paths relative to root) under root.
+func writeTree(t *testing.T, root string, files map[string]string) {
+	t.Helper()
+	for rel, body := range files {
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCacheKeyCoversSupportSources pins the runner cache key to the
+// sources a runner links: an edit to go.mod or to a non-test .go file
+// under gobert/ or internal/ must select a new runner, and an edit to a
+// test, a testdata/ file or a command must not. No toolchain needed.
+func TestCacheKeyCoversSupportSources(t *testing.T) {
+	root := t.TempDir()
+	files := map[string]string{
+		"go.mod":                       "module repro\n\ngo 1.22\n",
+		"gobert/gobert.go":             "package gobert\n",
+		"internal/vm/vm.go":            "package vm\n",
+		"internal/vm/vm_test.go":       "package vm\n",
+		"internal/vm/testdata/prog.go": "package main\n",
+		"cmd/blame/main.go":            "package main\n",
+		"internal/serve/testdata/seed": "seed\n",
+		"internal/serve/serve.go":      "package serve\n",
+		"internal/serve/serve_test.go": "package serve\n",
+		"internal/serve/notes.txt":     "notes\n",
+	}
+	writeTree(t, root, files)
+	key := func() string {
+		t.Helper()
+		d, err := sourceDigest(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cacheKey("p.mchpl", "writeln(1);\n", d, compile.Options{})
+	}
+	base := key()
+	for _, c := range []struct {
+		path    string
+		changes bool
+	}{
+		{"go.mod", true},
+		{"gobert/gobert.go", true},
+		{"internal/vm/vm.go", true},
+		{"internal/serve/serve.go", true},
+		{"internal/vm/vm_test.go", false},
+		{"internal/serve/serve_test.go", false},
+		{"internal/vm/testdata/prog.go", false},
+		{"internal/serve/testdata/seed", false},
+		{"internal/serve/notes.txt", false},
+		{"cmd/blame/main.go", false},
+	} {
+		writeTree(t, root, map[string]string{c.path: files[c.path] + "// edited\n"})
+		if got := key(); (got != base) != c.changes {
+			t.Errorf("editing %s: key changed = %t, want %t", c.path, got != base, c.changes)
+		}
+		writeTree(t, root, map[string]string{c.path: files[c.path]})
+		if got := key(); got != base {
+			t.Fatalf("restoring %s did not restore the key", c.path)
+		}
+	}
+	// A new support file is an edit too.
+	writeTree(t, root, map[string]string{"internal/vm/extra.go": "package vm\n"})
+	if key() == base {
+		t.Error("adding internal/vm/extra.go left the key unchanged")
+	}
+}
+
+// TestModuleRootSkipsNestedModules walks up from inside a nested module
+// whose path merely starts with repro (perfbench declares
+// repro/perfbench) and must land on the checkout root, whose sources
+// the runner links and the cache key hashes.
+func TestModuleRootSkipsNestedModules(t *testing.T) {
+	root, err := filepath.EvalSymlinks(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeTree(t, root, map[string]string{
+		"go.mod":                "module repro\n\ngo 1.22\n",
+		"perfbench/go.mod":      "module repro/perfbench\n\ngo 1.22\n\nrequire repro v0.0.0\n\nreplace repro => ../\n",
+		"perfbench/sub/keep.go": "package sub\n",
+	})
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	if err := os.Chdir(filepath.Join(root, "perfbench", "sub")); err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("MCHPL_REPO_ROOT", "")
+	got, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != root {
+		t.Fatalf("moduleRoot from perfbench/sub = %s, want the repro root %s", got, root)
+	}
+}
+
+// TestBuildNeedsCheckout: with no checkout to hash, Build fails rather
+// than reuse a cached runner nothing can verify.
+func TestBuildNeedsCheckout(t *testing.T) {
+	t.Setenv("MCHPL_GOBE_CACHE", t.TempDir())
+	t.Setenv("MCHPL_REPO_ROOT", t.TempDir()) // no go.mod, no sources
+	if _, err := Build("nocheckout.mchpl", "writeln(1);\n", compile.Options{}); err == nil {
+		t.Fatal("Build succeeded without a checkout to hash")
+	}
+}

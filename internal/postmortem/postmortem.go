@@ -10,7 +10,6 @@
 package postmortem
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -32,14 +31,6 @@ type Instance struct {
 	Tags []uint64
 	// Locale is the node the sample came from.
 	Locale int
-}
-
-// Location renders one frame as file:line for reports.
-func (p *Processor) Location(fr core.Frame) string {
-	if fr.Instr == nil || !fr.Instr.Pos.IsValid() {
-		return fr.Fn.Name
-	}
-	return fmt.Sprintf("%s:%s", fr.Fn.Name, p.prog.FileSet.Position(fr.Instr.Pos))
 }
 
 // VarRow is one row of the flat data-centric view (paper Tables II/IV/VI).

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -186,4 +188,47 @@ func TestNormalizeIdempotent(t *testing.T) {
 			t.Errorf("second Normalize changed the request:\n%+v\n%+v", first, *r)
 		}
 	}
+}
+
+// FuzzRequest feeds arbitrary bytes through the server's request decode
+// path (unknown fields rejected, as decodeRequest does). Decoding,
+// Normalize and Key never panic. A request Normalize accepts is a fixed
+// point of Normalize, and its Key survives a JSON round trip, so the
+// outcome cache cannot split one request into two entries by how a
+// client happened to encode it.
+func FuzzRequest(f *testing.F) {
+	f.Add([]byte(`{"source":"writeln(1);","configs":{"n":"3"},"limit":-1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Request
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&r); err != nil {
+			return
+		}
+		if err := r.Normalize(); err != nil {
+			r.Key()
+			return
+		}
+		key := r.Key()
+		if err := r.Normalize(); err != nil {
+			t.Fatalf("second Normalize rejected a normalized request: %v", err)
+		}
+		if k := r.Key(); k != key {
+			t.Fatalf("second Normalize moved the key: %s -> %s", key, k)
+		}
+		b, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Request
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("re-decoding %s: %v", b, err)
+		}
+		if err := back.Normalize(); err != nil {
+			t.Fatalf("Normalize rejected the re-encoded request %s: %v", b, err)
+		}
+		if k := back.Key(); k != key {
+			t.Fatalf("JSON round trip moved the key: %s -> %s (%s)", key, k, b)
+		}
+	})
 }

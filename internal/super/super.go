@@ -239,9 +239,8 @@ func (s *Supervisor) Exec(t Target, spec *gobert.RunSpec) (*gobert.Reply, error)
 	return s.exec(t, spec, nil)
 }
 
-// Outcome mirrors gobe.Runner.Outcome through supervision: the full
-// serve.Execute pipeline inside the runner, with the supervisor's
-// recovery ladder around it.
+// Outcome runs the full serve.Execute pipeline inside the runner, with
+// the supervisor's recovery ladder around it.
 func (s *Supervisor) Outcome(r *gobe.Runner, req *serve.Request) (*gobert.Reply, error) {
 	req2 := *req
 	req2.Name, req2.Source = r.Name, r.Source
