@@ -165,9 +165,8 @@ func runGoBackend(name, src string, opts compile.Options, spec *gobert.RunSpec) 
 // panics; shared by both backends so their reporting is identical.
 func finishRun(st vm.Stats, showStats bool, locales int) {
 	if showStats {
-		clockHz := vm.DefaultConfig().ClockHz
 		fmt.Fprintf(os.Stderr, "elapsed (simulated): %.6f s  wall cycles: %d  total cycles: %d  spin: %.1f%%  tasks: %d  allocs: %d\n",
-			st.Seconds(clockHz), st.WallCycles, st.TotalCycles,
+			st.Seconds(), st.WallCycles, st.TotalCycles,
 			100*float64(st.SpinCycles)/float64(max64(1, st.TotalCycles)), st.TasksSpawned, st.Allocations)
 		fmt.Fprintf(os.Stderr, "comm: %d messages  %d bytes\n", st.CommMessages, st.CommBytes)
 		if locales > 1 {

@@ -41,11 +41,11 @@ func main() {
 	for i, size := range benchprog.CLOMPSizePoints {
 		vmCfg := vm.DefaultConfig()
 		vmCfg.Configs = size.Configs()
-		so, err := blame.Run(orig.Prog, vmCfg)
+		so, err := vm.New(orig.Prog, vmCfg).Run()
 		if err != nil {
 			log.Fatal(err)
 		}
-		sp, err := blame.Run(opt.Prog, vmCfg)
+		sp, err := vm.New(opt.Prog, vmCfg).Run()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -48,13 +48,13 @@ func main() {
 	}
 	vmCfg := vm.DefaultConfig()
 	vmCfg.Configs = cfgs
-	base, err := blame.Run(orig.Prog, vmCfg)
+	base, err := vm.New(orig.Prog, vmCfg).Run()
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, v := range variants {
 		res := benchprog.LULESH(v.v).MustCompile(compile.Options{})
-		st, err := blame.Run(res.Prog, vmCfg)
+		st, err := vm.New(res.Prog, vmCfg).Run()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -37,17 +37,17 @@ func main() {
 	//    and time both versions (paper Table III).
 	vmCfg := vm.DefaultConfig()
 	vmCfg.Configs = cfgs
-	so, err := blame.Run(orig.Prog, vmCfg)
+	so, err := vm.New(orig.Prog, vmCfg).Run()
 	if err != nil {
 		log.Fatal(err)
 	}
 	opt := benchprog.MiniMD(true).MustCompile(compile.Options{})
-	sp, err := blame.Run(opt.Prog, vmCfg)
+	sp, err := vm.New(opt.Prog, vmCfg).Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\noriginal:  %.6f s (simulated)\n", so.Seconds(vmCfg.ClockHz))
-	fmt.Printf("optimized: %.6f s (simulated)\n", sp.Seconds(vmCfg.ClockHz))
+	fmt.Printf("\noriginal:  %.6f s (simulated)\n", so.Seconds())
+	fmt.Printf("optimized: %.6f s (simulated)\n", sp.Seconds())
 	fmt.Printf("speedup:   %.2fx (paper: 2.26x on its testbed)\n",
 		float64(so.WallCycles)/float64(sp.WallCycles))
 }

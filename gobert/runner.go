@@ -102,6 +102,31 @@ func (rs *RunSpec) Run(prog *Program) *Reply {
 	return r
 }
 
+// Outcome executes an outcome-mode spec in this process: it normalizes
+// the request, runs it through serve.Execute and encodes the outcome and
+// profile as the runner protocol does. The runner and gobe.InterpReply
+// both call it, as they do Run for run mode.
+func (rs *RunSpec) Outcome() *Reply {
+	if rs.Request == nil {
+		return &Reply{Err: "outcome mode needs a request"}
+	}
+	if err := rs.Request.Normalize(); err != nil {
+		return &Reply{Err: err.Error()}
+	}
+	start := time.Now()
+	out, err := serve.Execute(rs.Request, nil)
+	r := &Reply{WallNs: time.Since(start).Nanoseconds()}
+	if err != nil {
+		r.RunErr = err.Error()
+		return r
+	}
+	if r.Outcome, err = json.Marshal(out); err != nil {
+		return &Reply{Err: "encoding outcome: " + err.Error()}
+	}
+	r.Profile = out.ProfileJSON
+	return r
+}
+
 // Main is the generated runner's entry point: read one RunSpec from
 // stdin, recompile the embedded source (deterministic, so the IR matches
 // what the code was generated from), install the compiled backend, run,
@@ -145,46 +170,24 @@ func run(spec ProgramSpec, in io.Reader) *Reply {
 	}
 	vm.RegisterCompiled(res.Prog, spec.Install(res.Prog))
 
+	var r *Reply
 	switch rs.Mode {
 	case "run":
-		r := rs.Run(res.Prog)
-		r.Compiled = CompiledUsed()
-		if r.Err == "" && r.RunErr == "" && !r.Compiled {
-			r.Err = "compiled backend was never dispatched (registry miss)"
-		}
-		return r
-
+		r = rs.Run(res.Prog)
 	case "outcome":
-		if rs.Request == nil {
-			return &Reply{Err: "outcome mode needs a request"}
-		}
 		if spec.Fast || spec.NoChecks {
 			return &Reply{Err: "outcome mode requires a runner generated with default compile options (serve compiles with defaults)"}
 		}
-		if rs.Request.Source != spec.Source || rs.Request.Name != spec.Name {
+		if req := rs.Request; req != nil && (req.Source != spec.Source || req.Name != spec.Name) {
 			return &Reply{Err: "outcome request does not match the runner's embedded program"}
 		}
-		if err := rs.Request.Normalize(); err != nil {
-			return &Reply{Err: err.Error()}
-		}
-		start := time.Now()
-		out, err := serve.Execute(rs.Request, nil)
-		wall := time.Since(start)
-		r := &Reply{WallNs: wall.Nanoseconds(), Compiled: CompiledUsed()}
-		if err != nil {
-			r.RunErr = err.Error()
-			return r
-		}
-		oj, err := json.Marshal(out)
-		if err != nil {
-			return &Reply{Err: "encoding outcome: " + err.Error()}
-		}
-		r.Outcome = oj
-		r.Profile = out.ProfileJSON
-		if !r.Compiled {
-			r.Err = "compiled backend was never dispatched (registry miss)"
-		}
-		return r
+		r = rs.Outcome()
+	default:
+		return &Reply{Err: fmt.Sprintf("unknown mode %q", rs.Mode)}
 	}
-	return &Reply{Err: fmt.Sprintf("unknown mode %q", rs.Mode)}
+	r.Compiled = CompiledUsed()
+	if r.Err == "" && r.RunErr == "" && !r.Compiled {
+		r.Err = "compiled backend was never dispatched (registry miss)"
+	}
+	return r
 }

@@ -64,14 +64,6 @@ func (i Interval) Bounded() bool { return i.Lo > -inf && i.Hi < inf }
 // Contains reports v in [Lo, Hi].
 func (i Interval) Contains(v int64) bool { return v >= i.Lo && v <= i.Hi }
 
-// Width returns Hi-Lo+1 for bounded non-empty intervals and -1 otherwise.
-func (i Interval) Width() int64 {
-	if i.IsEmpty() || !i.Bounded() {
-		return -1
-	}
-	return i.Hi - i.Lo + 1
-}
-
 func (i Interval) String() string {
 	if i.IsEmpty() {
 		return "⊥"

@@ -209,7 +209,7 @@ func (ctx *Context) buildHot() {
 					if !ctx.hot[f] && ctx.Loops(f).depth[b.ID] == 0 {
 						continue
 					}
-					for _, callee := range calleesOf(in) {
+					for _, callee := range in.Callees() {
 						if callee != nil && !ctx.hot[callee] {
 							ctx.hot[callee] = true
 							changed = true
@@ -219,17 +219,6 @@ func (ctx *Context) buildHot() {
 			}
 		}
 	}
-}
-
-func calleesOf(in *ir.Instr) []*ir.Func {
-	var out []*ir.Func
-	if in.Callee != nil {
-		out = append(out, in.Callee)
-	}
-	if in.Spawn != nil {
-		out = append(out, in.Spawn.Extra...)
-	}
-	return out
 }
 
 // buildDistInfo records which domains are distributed and which domain

@@ -3,7 +3,6 @@ package cost
 import (
 	"errors"
 
-	"repro/internal/analyze"
 	"repro/internal/comm"
 	"repro/internal/ir"
 	"repro/internal/types"
@@ -56,14 +55,14 @@ func (c *commTrace) Comm(bytes int64, _, _ int, owner *ir.Var, _ *vm.Task, in *i
 
 // commCycles1 is the VM's charge for one fault-free message of bytes.
 func (p *predictor) commCycles1(bytes int64) uint64 {
-	return p.costs.ScaleCost(p.prog.Optimized, p.costs.CommLatency+uint64(bytes)*p.costs.CommPerByte)
+	c := vm.Costs()
+	return c.ScaleCost(p.prog.Optimized, c.CommLatency+uint64(bytes)*c.CommPerByte)
 }
 
 // traceComm runs the skeleton VM and fills pred's comm fields. On abort
 // it returns the reason and leaves pred untouched.
 func (p *predictor) traceComm(pred *Prediction) error {
 	cfg := p.opts.VM
-	cfg.CommPlan = analyze.CommPlan(p.prog)
 	tr := &commTrace{p: p, perVar: make(map[string]int64), cycles: make(map[*ir.Instr]float64)}
 	cfg.Listener = tr
 	st, err := vm.NewSkeleton(p.prog, cfg).Run()

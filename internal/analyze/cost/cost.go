@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -11,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/sem"
-	"repro/internal/source"
 	"repro/internal/types"
 	"repro/internal/vm"
 )
@@ -70,33 +68,6 @@ func (p *Prediction) Row(name string) (VarPred, bool) {
 	return VarPred{}, false
 }
 
-// Diags renders the prediction as analyzer findings (pass "static-cost")
-// so it can ride the same reporting pipeline as the lint passes.
-func (p *Prediction) Diags(limit int) []analyze.Diag {
-	var out []analyze.Diag
-	for i, r := range p.Vars {
-		if limit > 0 && i >= limit {
-			break
-		}
-		msg := fmt.Sprintf("predicted blame %.1f%% (%.3g cycles)", 100*r.Blame, r.Cycles)
-		if r.Msgs > 0 {
-			msg += fmt.Sprintf(", %d comm messages", r.Msgs)
-		}
-		var pos source.Pos
-		if r.Sym != nil {
-			pos = r.Sym.Pos
-		}
-		out = append(out, analyze.Diag{
-			Pass:     "static-cost",
-			Severity: analyze.Note,
-			Pos:      pos,
-			Var:      r.Name,
-			Message:  msg,
-		})
-	}
-	return out
-}
-
 // Predict runs the symbolic static cost engine over prog: abstract
 // interpretation for loop trips and block frequencies, a skeleton VM run
 // for message counts, the VM's own cost table plus the executor's
@@ -136,8 +107,7 @@ func newPredictor(prog *ir.Program, opts Options) *predictor {
 		opts:     opts,
 		actx:     analyze.NewContext(prog),
 		analysis: core.AnalyzeCached(prog, opts.Core),
-		costTab:  vm.StaticCostTable(prog, opts.VM.Costs),
-		costs:    opts.VM.Costs,
+		costTab:  vm.StaticCostTable(prog),
 		seeds:    make(map[*ir.Func]map[*ir.Var]absint.Val),
 		pins:     make(map[*ir.Func]map[*ir.Var]absint.Val),
 		res:      make(map[*ir.Func]*absint.Result),
@@ -259,7 +229,7 @@ func (p *predictor) attributeMass(f *ir.Func, in *ir.Instr, mass float64, paths 
 // charging exactly; the extras are the documented approximations.
 func (p *predictor) instrMass(f *ir.Func, in *ir.Instr) float64 {
 	base := float64(p.costTab[in.Addr])
-	c := p.costs
+	c := vm.Costs()
 	sc := func(cycles float64) float64 {
 		if cycles <= 0 {
 			return 0
@@ -318,7 +288,7 @@ func (p *predictor) instrMass(f *ir.Func, in *ir.Instr) float64 {
 // builtinExtra models doBuiltin's dynamic charges beyond the static
 // IntALU placeholder.
 func (p *predictor) builtinExtra(f *ir.Func, in *ir.Instr) float64 {
-	c := p.costs
+	c := vm.Costs()
 	name := in.Method
 	if strings.HasPrefix(name, "config:") {
 		return 0
@@ -351,7 +321,7 @@ func (p *predictor) builtinExtra(f *ir.Func, in *ir.Instr) float64 {
 // costs — everything rtCharge attributes to the runtime frames that the
 // postmortem gluing trims back to this spawn site.
 func (p *predictor) spawnExtra(f *ir.Func, in *ir.Instr) float64 {
-	c := p.costs
+	c := vm.Costs()
 	sp := in.Spawn
 	if sp == nil {
 		return 0
@@ -375,10 +345,7 @@ func (p *predictor) spawnExtra(f *ir.Func, in *ir.Instr) float64 {
 	if sp.Kind == ir.SpawnCoforall {
 		numTasks = trip
 	} else {
-		numTasks = float64(p.opts.VM.DataParTasksPerLocale)
-		if numTasks <= 0 {
-			numTasks = float64(p.opts.VM.NumCores)
-		}
+		numTasks = float64(p.opts.VM.NumCores)
 		if numTasks > trip {
 			numTasks = trip
 		}
@@ -386,13 +353,10 @@ func (p *predictor) spawnExtra(f *ir.Func, in *ir.Instr) float64 {
 	nl := p.opts.VM.NumLocales
 	owner := space.Dist && nl > 1 && !p.opts.VM.NoOwnerComputes
 	if owner {
-		// DataParTasksPerLocale workers per locale; all but the spawner's
-		// pay an active-message launch.
+		// NumCores workers per locale; all but the spawner's pay an
+		// active-message launch.
 		if sp.Kind != ir.SpawnCoforall {
-			perLoc := float64(p.opts.VM.DataParTasksPerLocale)
-			if perLoc <= 0 {
-				perLoc = float64(p.opts.VM.NumCores)
-			}
+			perLoc := float64(p.opts.VM.NumCores)
 			if perLoc*float64(nl) > trip {
 				numTasks = trip
 			} else {

@@ -46,7 +46,6 @@ type predictor struct {
 	actx     *analyze.Context
 	analysis *core.Analysis
 	costTab  []uint64
-	costs    vm.CostModel
 
 	cfgVals map[string]absint.Val
 
@@ -548,7 +547,7 @@ func (p *predictor) discover() {
 			// Propagate arguments to callees.
 			for _, b := range f.Blocks {
 				for _, in := range b.Instrs {
-					callees := calleesOf(in)
+					callees := in.Callees()
 					if len(callees) == 0 {
 						continue
 					}
@@ -568,26 +567,6 @@ func (p *predictor) discover() {
 			break
 		}
 	}
-}
-
-// calleesOf lists the functions an instruction can invoke.
-func calleesOf(in *ir.Instr) []*ir.Func {
-	switch in.Op {
-	case ir.OpCall:
-		if in.Callee != nil {
-			return []*ir.Func{in.Callee}
-		}
-	case ir.OpSpawn:
-		out := []*ir.Func{}
-		if in.Callee != nil {
-			out = append(out, in.Callee)
-		}
-		if in.Spawn != nil {
-			out = append(out, in.Spawn.Extra...)
-		}
-		return out
-	}
-	return nil
 }
 
 // seedCall joins the abstract arguments at one call/spawn site into the
@@ -871,7 +850,7 @@ func (p *predictor) invocations() {
 					continue
 				}
 				for _, in := range b.Instrs {
-					for ci, callee := range calleesOf(in) {
+					for ci, callee := range in.Callees() {
 						next[callee] += w * p.callMultiplier(in, ci)
 					}
 				}
@@ -945,7 +924,7 @@ func (p *predictor) callPaths() {
 					continue
 				}
 				for _, in := range b.Instrs {
-					for ci, callee := range calleesOf(in) {
+					for ci, callee := range in.Callees() {
 						if callee == f {
 							continue
 						}

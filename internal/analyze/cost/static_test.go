@@ -33,8 +33,9 @@ func (c *commCount) Comm(_ int64, _, _ int, owner *ir.Var, _ *vm.Task, _ *ir.Ins
 }
 
 // predictAndRun predicts req's program statically and runs it on the
-// VM under the same configuration. maxCycles, when non-zero, bounds both.
-func predictAndRun(t *testing.T, req *serve.Request, maxCycles uint64) (*cost.Prediction, vm.Stats, map[string]int64, error) {
+// VM under the same configuration; edit, when non-nil, adjusts that
+// configuration for both.
+func predictAndRun(t *testing.T, req *serve.Request, edit func(*vm.Config)) (*cost.Prediction, vm.Stats, map[string]int64, error) {
 	t.Helper()
 	if err := req.Normalize(); err != nil {
 		t.Fatal(err)
@@ -44,8 +45,8 @@ func predictAndRun(t *testing.T, req *serve.Request, maxCycles uint64) (*cost.Pr
 		t.Fatal(err)
 	}
 	cfg := req.VMConfig(res.Prog)
-	if maxCycles > 0 {
-		cfg.MaxCycles = maxCycles
+	if edit != nil {
+		edit(&cfg)
 	}
 	opts := cost.DefaultOptions()
 	opts.VM = cfg
@@ -72,7 +73,8 @@ func checkExact(t *testing.T, label string, pred *cost.Prediction, st vm.Stats, 
 // TestStaticCommExact pins the static comm prediction to the VM's
 // measurement on the comm benchmarks at every locale count, comm mode
 // and cache capacity — including the small caches whose evictions
-// depend on how the scheduler interleaves tasks.
+// depend on how the scheduler interleaves tasks, and an aggregated
+// config without a comm plan, which the prediction must run as given.
 func TestStaticCommExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every case twice")
@@ -90,16 +92,17 @@ func TestStaticCommExact(t *testing.T) {
 		name      string
 		agg, insp bool
 		cache     int
+		noPlan    bool
 	}
-	modes := []mode{{name: "direct"}}
+	modes := []mode{{name: "direct"}, {name: "agg/noplan", agg: true, noPlan: true}}
 	for _, c := range []int{-1, 16, 256, 0} {
 		cache := fmt.Sprint(c)
 		if c == 0 {
 			cache = "default"
 		}
 		modes = append(modes,
-			mode{"agg/cache=" + cache, true, false, c},
-			mode{"insp/cache=" + cache, true, true, c})
+			mode{"agg/cache=" + cache, true, false, c, false},
+			mode{"insp/cache=" + cache, true, true, c, false})
 	}
 	for _, b := range benches {
 		for _, nl := range []int{2, 4, 8} {
@@ -111,7 +114,11 @@ func TestStaticCommExact(t *testing.T) {
 						Bench: b.name, Configs: b.cfgs, Locales: nl,
 						CommAggregate: m.agg, CommInspector: m.insp, CommCache: m.cache,
 					}
-					pred, st, perVar, err := predictAndRun(t, req, 0)
+					var edit func(*vm.Config)
+					if m.noPlan {
+						edit = func(cfg *vm.Config) { cfg.CommPlan = nil }
+					}
+					pred, st, perVar, err := predictAndRun(t, req, edit)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -308,7 +315,7 @@ func FuzzStaticVsDynamic(f *testing.F) {
 					CommAggregate: mode.agg, CommInspector: mode.insp, CommCache: mode.cache}
 				// A low cycle budget keeps pathological loops fast; a run
 				// that hits it (or fails otherwise) has nothing to compare.
-				pred, st, perVar, err := predictAndRun(t, req, 20_000_000)
+				pred, st, perVar, err := predictAndRun(t, req, func(cfg *vm.Config) { cfg.MaxCycles = 20_000_000 })
 				if err != nil || len(st.TaskPanics) > 0 || !pred.WalkOK && nl > 1 {
 					continue
 				}

@@ -14,7 +14,6 @@
 package blame
 
 import (
-	"repro/internal/analyze"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/postmortem"
@@ -104,9 +103,7 @@ func Profile(prog *ir.Program, cfg Config) (*Result, error) {
 	if cfg.Wrap != nil {
 		vmCfg.Listener = cfg.Wrap(smp, analysis)
 	}
-	ensureCommPlan(prog, &vmCfg)
-	machine := vm.New(prog, vmCfg)
-	stats, err := machine.Run()
+	stats, err := vm.New(prog, vmCfg).Run()
 	if err != nil {
 		return nil, err
 	}
@@ -121,20 +118,4 @@ func Profile(prog *ir.Program, cfg Config) (*Result, error) {
 	}
 	prof.Dropped += smp.Dropped
 	return &Result{Profile: prof, Analysis: analysis, Sampler: smp, Stats: stats}, nil
-}
-
-// Run executes the program without profiling and returns timing stats —
-// used for the paper's speedup tables, where runs are unmonitored.
-func Run(prog *ir.Program, vmCfg vm.Config) (vm.Stats, error) {
-	ensureCommPlan(prog, &vmCfg)
-	machine := vm.New(prog, vmCfg)
-	return machine.Run()
-}
-
-// ensureCommPlan derives the static aggregation plan from the analyzer
-// when the modeled communication runtime is enabled without one.
-func ensureCommPlan(prog *ir.Program, vmCfg *vm.Config) {
-	if vmCfg.CommAggregate && vmCfg.CommPlan == nil {
-		vmCfg.CommPlan = analyze.CommPlan(prog)
-	}
 }

@@ -176,21 +176,6 @@ func TestDeterministicProfile(t *testing.T) {
 	}
 }
 
-func TestRunWithoutProfiler(t *testing.T) {
-	res, err := compile.Source("t", hotColdSrc, compile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := blame.DefaultConfig()
-	stats, err := blame.Run(res.Prog, cfg.VM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.WallCycles == 0 {
-		t.Error("no cycles")
-	}
-}
-
 func TestProfilerOverheadIsObservable(t *testing.T) {
 	// The monitoring process performs one stack walk per sample plus one
 	// per spawn (paper §V overhead paragraph).

@@ -57,7 +57,7 @@ func (r *Runtime) prefetchHalo(a Access, site Site) []Event {
 }
 
 // streamFetch coalesces a sequential (or statically strided) remote read
-// run: starting at the missed element, fetch up to RunBlock same-home,
+// run: starting at the missed element, fetch up to runBlock same-home,
 // non-resident elements spaced step apart in one message.
 func (r *Runtime) streamFetch(a Access, step int64) []Event {
 	if step <= 0 {
@@ -66,7 +66,7 @@ func (r *Runtime) streamFetch(a Access, step int64) []Event {
 	c := r.caches[a.Loc]
 	var out []Event
 	var n int64
-	for e := a.Elem; e < a.LayoutLen && n < r.cfg.RunBlock; e += step {
+	for e := a.Elem; e < a.LayoutLen && n < runBlock; e += step {
 		if a.HomeOf(e) != a.Home || c.has(a.Arr, e) {
 			break
 		}

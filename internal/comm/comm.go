@@ -17,7 +17,7 @@
 //     read miss prefetches the whole [lo-k, hi+k] ghost window, one
 //     message per contiguous same-home run.
 //   - Otherwise a sequential (elem == prev+step) read miss streams a
-//     RunBlock-bounded block from the element's home in one message.
+//     runBlock-bounded block from the element's home in one message.
 //   - A remote write marks the copy dirty (write-back); dirty entries are
 //     flushed as coalesced runs when the writing task finishes, or
 //     individually on eviction.
@@ -39,18 +39,12 @@ type Config struct {
 	// 0 selects DefaultCacheCap, negative values disable caching (every
 	// read fetches, every write is written through immediately).
 	CacheCap int
-	// RunBlock bounds the elements fetched by one streaming message.
-	// Values <= 0 select DefaultRunBlock.
-	RunBlock int64
 	// Fault, when non-nil, injects deterministic faults into every
 	// charged message: lost messages are retransmitted (bounded
-	// exponential backoff per Retry), duplicates are suppressed, delays
-	// and timeouts add modeled latency. Program output never changes —
-	// only stats and cycles.
+	// exponential backoff per the injector's retry policy), duplicates
+	// are suppressed, delays and timeouts add modeled latency. Program
+	// output never changes — only stats and cycles.
 	Fault *fault.Injector
-	// Retry overrides the injector's retry policy when any field is
-	// non-zero (zero fields keep their defaults).
-	Retry fault.RetryPolicy
 	// Inspector enables the inspector–executor path for sites the plan
 	// classifies SiteIrregular: a one-pass inspector records the remote
 	// index set per (task, site, array), coalesces it into one bulk
@@ -73,9 +67,11 @@ type Config struct {
 // Defaults for Config.
 const (
 	DefaultCacheCap        = 4096
-	DefaultRunBlock        = 64
 	DefaultReplicaMinReads = 256
 )
+
+// runBlock bounds the elements fetched by one streaming message.
+const runBlock = 64
 
 // Access describes one remote element access the VM delegates.
 type Access struct {
@@ -196,9 +192,6 @@ func New(cfg Config, plan *Plan) *Runtime {
 	} else if cfg.CacheCap < 0 {
 		cfg.CacheCap = 0
 	}
-	if cfg.RunBlock <= 0 {
-		cfg.RunBlock = DefaultRunBlock
-	}
 	if cfg.ReplicaMinReads <= 0 {
 		cfg.ReplicaMinReads = DefaultReplicaMinReads
 	}
@@ -208,9 +201,6 @@ func New(cfg Config, plan *Plan) *Runtime {
 		caches: make([]*cache, cfg.Locales),
 		fault:  cfg.Fault,
 		seq:    make(map[seqKey]int64),
-	}
-	if r.fault != nil && cfg.Retry != (fault.RetryPolicy{}) {
-		r.fault.SetRetry(cfg.Retry)
 	}
 	for i := range r.caches {
 		r.caches[i] = newCache(cfg.CacheCap)

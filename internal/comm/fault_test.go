@@ -124,11 +124,8 @@ func TestFlushIdempotentUnderFaults(t *testing.T) {
 // once — the model never loses data.
 func TestLossRetryPolicyViaConfig(t *testing.T) {
 	inj := fault.NewInjector(mustSpec(t, "loss=1"), 1)
-	r := New(Config{
-		Locales: 2,
-		Fault:   inj,
-		Retry:   fault.RetryPolicy{MaxRetries: 2, BackoffBase: 1, BackoffCap: 4, TimeoutUnits: 8},
-	}, nil)
+	inj.SetRetry(fault.RetryPolicy{MaxRetries: 2, BackoffBase: 1, BackoffCap: 4, TimeoutUnits: 8})
+	r := New(Config{Locales: 2, Fault: inj}, nil)
 	evs := r.Access(access(0, 1, false))
 	if n := countMessages(evs); n != 1 {
 		t.Fatalf("lossy fetch charged %d messages, want 1", n)

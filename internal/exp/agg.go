@@ -118,8 +118,8 @@ func TableAgg() (*Table, error) {
 		fmt.Sprintf("output identical: %v", dout == aout),
 		fmt.Sprintf("bytes on the wire: %d direct vs %d aggregated", ds.CommBytes, as.CommBytes),
 		fmt.Sprintf("wall time: %s s direct vs %s s aggregated (%s speedup)",
-			secs(ds.Seconds(bcClockHz)), secs(as.Seconds(bcClockHz)),
-			ratio(ds.Seconds(bcClockHz), as.Seconds(bcClockHz))),
+			secs(ds.Seconds()), secs(as.Seconds()),
+			ratio(ds.Seconds(), as.Seconds())),
 	)
 	if a := as.Agg; a != nil {
 		t.Notes = append(t.Notes, fmt.Sprintf(
@@ -132,36 +132,28 @@ func TableAgg() (*Table, error) {
 	return t, nil
 }
 
-// bcClockHz is the experiment clock (paper testbed: 2.53 GHz).
-const bcClockHz = 2.53e9
-
 // predictedBy renders the advisor join for a §V speedup row: the named
-// passes' findings on the program the optimization started from. Cited
-// strings are memoized per (program, pass list).
+// passes' findings on the program the optimization started from.
 func predictedBy(p benchprog.Program, passes ...string) string {
-	key := p.Name + "|" + strings.Join(passes, ",")
-	s, _ := predMemo.Get(key, func() (string, error) {
-		res, err := p.Compile(compile.Options{})
-		if err != nil {
-			return "-", nil
+	res, err := p.Compile(compile.Options{})
+	if err != nil {
+		return "-"
+	}
+	rep := analysisReport(res.Prog)
+	var cites []string
+	for _, pass := range passes {
+		ds := rep.ByPass(pass)
+		if len(ds) == 0 {
+			continue
 		}
-		rep := analysisReport(res.Prog)
-		var cites []string
-		for _, pass := range passes {
-			ds := rep.ByPass(pass)
-			if len(ds) == 0 {
-				continue
-			}
-			c := fmt.Sprintf("%s at %s", pass, rep.Prog.FileSet.Position(ds[0].Pos))
-			if len(ds) > 1 {
-				c += fmt.Sprintf(" (+%d more)", len(ds)-1)
-			}
-			cites = append(cites, c)
+		c := fmt.Sprintf("%s at %s", pass, rep.Prog.FileSet.Position(ds[0].Pos))
+		if len(ds) > 1 {
+			c += fmt.Sprintf(" (+%d more)", len(ds)-1)
 		}
-		if len(cites) == 0 {
-			return "-", nil
-		}
-		return strings.Join(cites, "; "), nil
-	})
-	return s
+		cites = append(cites, c)
+	}
+	if len(cites) == 0 {
+		return "-"
+	}
+	return strings.Join(cites, "; ")
 }

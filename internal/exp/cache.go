@@ -47,7 +47,6 @@ type profKey struct {
 var (
 	profMemo   = memo.New[profKey, *blame.Result]("exp.profile")
 	reportMemo = memo.New[*ir.Program, *analyze.Report]("exp.report")
-	predMemo   = memo.New[string, string]("exp.predicted")
 )
 
 // analysisReport memoizes the default diagnostics report per program
@@ -63,5 +62,4 @@ func analysisReport(prog *ir.Program) *analyze.Report {
 func ResetMemos() {
 	profMemo.Reset()
 	reportMemo.Reset()
-	predMemo.Reset()
 }

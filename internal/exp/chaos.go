@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/benchprog"
-	"repro/internal/blame"
 	"repro/internal/compile"
 	"repro/internal/serve"
 	"repro/internal/vm"
@@ -35,7 +34,7 @@ func TableChaos() (*Table, error) {
 		cfg := req.VMConfig(res.Prog)
 		cfg.Stdout = &out
 		cfg.Fault = req.Injector()
-		stats, err := blame.Run(res.Prog, cfg)
+		stats, err := vm.New(res.Prog, cfg).Run()
 		if err != nil {
 			return vm.Stats{}, "", err
 		}

@@ -85,7 +85,7 @@ func timeProgram(p benchprog.Program, fast bool, cfgs map[string]string) (float6
 	if err != nil {
 		return 0, err
 	}
-	return st.Seconds(cfg.ClockHz), nil
+	return st.Seconds(), nil
 }
 
 // profileProgram runs the full blame pipeline on a benchmark with an

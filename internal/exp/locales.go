@@ -68,7 +68,7 @@ func TableLocales() (*Table, error) {
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%s/%dL", c.prog.Name, nl), fmt.Sprint(nl),
 				fmt.Sprint(bs.CommMessages), fmt.Sprint(os.CommMessages),
-				secs(bs.Seconds(bcClockHz)), secs(os.Seconds(bcClockHz)),
+				secs(bs.Seconds()), secs(os.Seconds()),
 				fmt.Sprint(bs.OwnerSiteRemote), fmt.Sprint(os.OwnerSiteRemote),
 			})
 		}

@@ -72,8 +72,8 @@ func TableSparse() (*Table, error) {
 		t.Notes = append(t.Notes, fmt.Sprintf(
 			"%s: bytes %d -> %d, wall %s s -> %s s (%s speedup); gathers %d (%d elems), replications %d (%d elems)",
 			c.prog.Name, base.CommBytes, insp.CommBytes,
-			secs(base.Seconds(bcClockHz)), secs(insp.Seconds(bcClockHz)),
-			ratio(base.Seconds(bcClockHz), insp.Seconds(bcClockHz)),
+			secs(base.Seconds()), secs(insp.Seconds()),
+			ratio(base.Seconds(), insp.Seconds()),
 			insp.Agg.Gathers, insp.Agg.GatheredElems,
 			insp.Agg.Replications, insp.Agg.ReplicatedElems))
 	}

@@ -406,8 +406,7 @@ func Overhead() (*Table, error) {
 		return nil, err
 	}
 	prof := r.Profile
-	hz := 2.53e9
-	wall := prof.Stats.Seconds(hz)
+	wall := prof.Stats.Seconds()
 	interval := wall / float64(max(1, prof.TotalSamples))
 	t := &Table{
 		ID:     "Overhead",

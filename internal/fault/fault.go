@@ -363,9 +363,6 @@ func (i *Injector) SetRetry(p RetryPolicy) {
 	i.pol = p.Normalized()
 }
 
-// Spec returns the injector's fault specification.
-func (i *Injector) Spec() Spec { return i.spec }
-
 // Stats returns the shared accumulator (live, not a snapshot).
 func (i *Injector) Stats() *Stats {
 	if i == nil {

@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/gobert"
 	"repro/internal/compile"
-	"repro/internal/serve"
 )
 
 // This file is the differential-testing surface: reference interpreter
@@ -18,8 +16,7 @@ import (
 
 // InterpReply executes spec on the in-process interpreter and encodes
 // the result exactly as a runner would. Run mode calls RunSpec.Run, the
-// runner's own code; outcome mode goes through serve.Execute, the same
-// pipeline the runner embeds.
+// runner's own code, and outcome mode RunSpec.Outcome.
 func InterpReply(name, source string, opts compile.Options, spec *gobert.RunSpec) (*gobert.Reply, error) {
 	res, err := compile.SourceCached(name, source, opts)
 	if err != nil {
@@ -33,29 +30,16 @@ func InterpReply(name, source string, opts compile.Options, spec *gobert.RunSpec
 		}
 		return r, nil
 	case "outcome":
-		if spec.Request == nil {
-			return nil, fmt.Errorf("outcome mode needs a request")
+		rs := *spec
+		if rs.Request != nil {
+			req := *rs.Request
+			req.Name, req.Source = name, source
+			rs.Request = &req
 		}
-		req := *spec.Request
-		req.Name = name
-		req.Source = source
-		if err := req.Normalize(); err != nil {
-			return nil, err
+		r := rs.Outcome()
+		if r.Err != "" {
+			return nil, errors.New(r.Err)
 		}
-		start := time.Now()
-		out, err := serve.Execute(&req, nil)
-		wall := time.Since(start)
-		r := &gobert.Reply{WallNs: wall.Nanoseconds()}
-		if err != nil {
-			r.RunErr = err.Error()
-			return r, nil
-		}
-		oj, err := json.Marshal(out)
-		if err != nil {
-			return nil, err
-		}
-		r.Outcome = oj
-		r.Profile = out.ProfileJSON
 		return roundTrip(r)
 	}
 	return nil, fmt.Errorf("unknown mode %q", spec.Mode)

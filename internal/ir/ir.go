@@ -415,6 +415,20 @@ func (i *Instr) Def() *Var {
 	return i.Dst
 }
 
+// Callees lists the functions the instruction can invoke: Callee (set
+// only on OpCall and OpSpawn), then a cobegin's remaining bodies in
+// order, so a body's index matches its position in the spawn.
+func (i *Instr) Callees() []*Func {
+	var out []*Func
+	if i.Callee != nil {
+		out = append(out, i.Callee)
+	}
+	if i.Spawn != nil {
+		out = append(out, i.Spawn.Extra...)
+	}
+	return out
+}
+
 // IsStoreThrough reports whether the instruction writes through Dst into
 // storage Dst references (element/field stores) rather than replacing
 // Dst's own value.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/memo"
 	"repro/internal/vm"
@@ -28,18 +27,13 @@ type calibrationKey struct {
 	prog            *ir.Program
 	cores           int
 	locales         int
-	dataPar         int
 	configs         string // sorted, quoted name=value pairs
 	maxCycles       uint64
-	clockHz         float64
-	costs           vm.CostModel
-	quantum         int
 	commAggregate   bool
 	commCacheCap    int
 	commInspector   bool
 	commPlan        bool // the plan is a pure function of the program
 	noOwnerComputes bool
-	commRetry       fault.RetryPolicy
 }
 
 func newCalibrationKey(prog *ir.Program, cfg *vm.Config) calibrationKey {
@@ -59,18 +53,13 @@ func newCalibrationKey(prog *ir.Program, cfg *vm.Config) calibrationKey {
 		prog:            prog,
 		cores:           cfg.NumCores,
 		locales:         cfg.NumLocales,
-		dataPar:         cfg.DataParTasksPerLocale,
 		configs:         configs.String(),
 		maxCycles:       cfg.MaxCycles,
-		clockHz:         cfg.ClockHz,
-		costs:           cfg.Costs,
-		quantum:         cfg.Quantum,
 		commAggregate:   cfg.CommAggregate,
 		commCacheCap:    cfg.CommCacheCap,
 		commInspector:   cfg.CommInspector,
 		commPlan:        cfg.CommPlan != nil,
 		noOwnerComputes: cfg.NoOwnerComputes,
-		commRetry:       cfg.CommRetry,
 	}
 }
 

@@ -247,7 +247,7 @@ func Execute(req *Request, ctl *RunControl) (*Outcome, error) {
 			text.WriteString("\n")
 			text.WriteString(views.Baseline(hpctk.Attribute(r.Sampler.Samples, r.Sampler.Allocs), lim))
 			text.WriteString("\n")
-			text.WriteString(views.Overhead(prof, r.Sampler.StackWalks, r.Sampler.DataSetBytes(), cfg.VM.ClockHz))
+			text.WriteString(views.Overhead(prof, r.Sampler.StackWalks, r.Sampler.DataSetBytes()))
 		}
 	}
 	if !req.Lint && req.PerLocale && prof.PerLocale != nil {

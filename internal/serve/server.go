@@ -133,9 +133,6 @@ func (s *Server) putOutcome(key string, out *Outcome) {
 // + Retry-After while everything already admitted keeps running.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether the server is refusing new submissions.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Shutdown is the ordered graceful stop: (1) drain — refuse new
 // submissions, (2) close the scheduler — queued and running jobs finish
 // and their sessions terminate, (3) flush and close the outcome

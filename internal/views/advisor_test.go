@@ -10,6 +10,7 @@ import (
 	"repro/internal/analyze/cost"
 	"repro/internal/blame"
 	"repro/internal/compile"
+	"repro/internal/serve"
 	"repro/internal/views"
 )
 
@@ -28,9 +29,7 @@ func TestAdvisorJoinsStaticAndDynamic(t *testing.T) {
 	}
 
 	cfg := blame.DefaultConfig()
-	cfg.VM.NumLocales = 4
-	cfg.VM.NumCores = 4
-	cfg.VM.Stdout = io.Discard
+	cfg.VM = (&serve.Request{Locales: 4, Cores: 4}).VMConfig(res.Prog)
 	cfg.Threshold = 2003
 	r, err := blame.Profile(res.Prog, cfg)
 	if err != nil {

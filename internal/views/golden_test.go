@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/blame"
 	"repro/internal/compile"
+	"repro/internal/serve"
 	"repro/internal/views"
 )
 
@@ -32,9 +33,8 @@ func TestCommCentricGoldenWavefront(t *testing.T) {
 
 	cfg := blame.DefaultConfig()
 	cfg.Threshold = 6089 // pin explicitly: golden must not drift with calibration
-	cfg.VM.NumLocales = 4
+	cfg.VM = (&serve.Request{Locales: 4, CommAggregate: true}).VMConfig(res.Prog)
 	cfg.VM.MaxCycles = 3_000_000_000
-	cfg.VM.CommAggregate = true
 	var stdout strings.Builder
 	cfg.VM.Stdout = &stdout
 

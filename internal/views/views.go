@@ -183,9 +183,9 @@ func Baseline(p *hpctk.Profile, limit int) string {
 }
 
 // Overhead renders the monitoring-overhead summary of §V.
-func Overhead(p *postmortem.Profile, stackWalks uint64, dataSetBytes int64, clockHz float64) string {
+func Overhead(p *postmortem.Profile, stackWalks uint64, dataSetBytes int64) string {
 	var b strings.Builder
-	wall := p.Stats.Seconds(clockHz)
+	wall := p.Stats.Seconds()
 	interval := 0.0
 	if p.TotalSamples > 0 {
 		interval = wall / float64(p.TotalSamples) * 1e6

@@ -123,7 +123,7 @@ func TestBaselineRendering(t *testing.T) {
 
 func TestOverheadRendering(t *testing.T) {
 	r := sampleProfile(t)
-	out := views.Overhead(r.Profile, r.Sampler.StackWalks, r.Sampler.DataSetBytes(), 2.53e9)
+	out := views.Overhead(r.Profile, r.Sampler.StackWalks, r.Sampler.DataSetBytes())
 	for _, want := range []string{"samples", "stack walks", "raw dataset"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("overhead view missing %q:\n%s", want, out)

@@ -204,7 +204,7 @@ func (m *VM) doBuiltin(t *Task, in *ir.Instr) (uint64, bool) {
 			b.WriteByte('\n')
 		}
 		fmt.Fprint(m.Cfg.Stdout, b.String())
-		return m.cost(m.Cfg.Costs.WriteBuiltin), true
+		return m.cost(costs.WriteBuiltin), true
 	case "sqrt":
 		m.assignVarV(t, in.Dst, RealVal(math.Sqrt(argV(0).AsReal())), in)
 	case "cbrt":
@@ -258,7 +258,7 @@ func (m *VM) doBuiltin(t *Task, in *ir.Instr) (uint64, bool) {
 		}
 		m.assignVarV(t, in.Dst, best, in)
 	case "getCurrentTime":
-		secs := float64(m.coreOf(t).clock) / m.Cfg.ClockHz
+		secs := float64(m.coreOf(t).clock) / ClockHz
 		m.assignVarV(t, in.Dst, RealVal(secs), in)
 	case "assert":
 		v := argV(0)
@@ -305,7 +305,7 @@ func (m *VM) doBuiltin(t *Task, in *ir.Instr) (uint64, bool) {
 	// Math builtin cost.
 	switch name {
 	case "sqrt", "cbrt", "exp", "log", "sin", "cos", "floor", "ceil":
-		return m.cost(m.Cfg.Costs.MathBuiltin), true
+		return m.cost(costs.MathBuiltin), true
 	}
 	return 0, true
 }
@@ -356,7 +356,7 @@ func (m *VM) atomicBuiltin(t *Task, in *ir.Instr, op string) (uint64, bool) {
 		return 0, false
 	}
 	// RMW cost, attributed to the runtime's atomic implementation.
-	m.rtCharge(t, m.cost(m.Cfg.Costs.AtomicOp), "atomic_fetch_add_explicit__real64")
+	m.rtCharge(t, m.cost(costs.AtomicOp), "atomic_fetch_add_explicit__real64")
 	return 0, true
 }
 
@@ -406,7 +406,7 @@ func (m *VM) reduceBuiltin(t *Task, in *ir.Instr, op string) (uint64, bool) {
 	if m.skel && !tracksContents(arr) {
 		// The fold reads the untracked contents.
 		m.assignVarV(t, in.Dst, Value{K: KUnk}, in)
-		return uint64(n) * m.cost(m.Cfg.Costs.PerElem), true
+		return uint64(n) * m.cost(costs.PerElem), true
 	}
 	idx := make([]int64, arr.Dom.Rank)
 	var accF float64
@@ -458,5 +458,5 @@ func (m *VM) reduceBuiltin(t *Task, in *ir.Instr, op string) (uint64, bool) {
 	} else {
 		m.assignVarV(t, in.Dst, RealVal(accF), in)
 	}
-	return uint64(n) * m.cost(m.Cfg.Costs.PerElem), true
+	return uint64(n) * m.cost(costs.PerElem), true
 }

@@ -76,62 +76,65 @@ type CostModel struct {
 	IcacheDen       uint64
 }
 
-// DefaultCosts returns the calibrated cost model.
-func DefaultCosts() CostModel {
-	return CostModel{
-		IntALU:      1,
-		RealALU:     2,
-		Div:         12,
-		Pow:         24,
-		MathBuiltin: 22,
+// costs is the calibrated cost model every run charges from. It is not
+// exported so no caller can change what a run measures; static analyses
+// read it through Costs.
+var costs = CostModel{
+	IntALU:      1,
+	RealALU:     2,
+	Div:         12,
+	Pow:         24,
+	MathBuiltin: 22,
 
-		ConstLoad:  1,
-		MoveScalar: 1,
-		PerElem:    2,
+	ConstLoad:  1,
+	MoveScalar: 1,
+	PerElem:    2,
 
-		IndexAddr:   2,
-		BoundsCheck: 3,
-		FieldAccess: 3,
-		TupleBase:   12,
-		TuplePerEl:  4,
+	IndexAddr:   2,
+	BoundsCheck: 3,
+	FieldAccess: 3,
+	TupleBase:   12,
+	TuplePerEl:  4,
 
-		MakeRange:  4,
-		MakeDomain: 10,
-		DomMethod:  14,
-		Query:      2,
+	MakeRange:  4,
+	MakeDomain: 10,
+	DomMethod:  14,
+	Query:      2,
 
-		SliceCreate: 320,
-		RefElem:     3,
+	SliceCreate: 320,
+	RefElem:     3,
 
-		AllocBase:  200,
-		AllocPerEl: 10,
-		ClassAlloc: 120,
-		ClassDeref: 9,
-		AtomicOp:   28,
+	AllocBase:  200,
+	AllocPerEl: 10,
+	ClassAlloc: 120,
+	ClassDeref: 9,
+	AtomicOp:   28,
 
-		CallOverhead: 14,
-		RetOverhead:  6,
+	CallOverhead: 14,
+	RetOverhead:  6,
 
-		SpawnBase:    900,
-		SpawnPerTask: 150,
-		Barrier:      400,
-		IterPerCall:  6,
-		ZipSetup:     130,
-		ZipAdvance:   34,
+	SpawnBase:    900,
+	SpawnPerTask: 150,
+	Barrier:      400,
+	IterPerCall:  6,
+	ZipSetup:     130,
+	ZipAdvance:   34,
 
-		WriteBuiltin: 40,
-		YieldSpin:    50,
+	WriteBuiltin: 40,
+	YieldSpin:    50,
 
-		CommLatency: 1200,
-		CommPerByte: 1,
+	CommLatency: 1200,
+	CommPerByte: 1,
 
-		FastScaleNum: 2,
-		FastScaleDen: 5, // --fast runs at 40% of the unoptimized cycle cost
+	FastScaleNum: 2,
+	FastScaleDen: 5, // --fast runs at 40% of the unoptimized cycle cost
 
-		IcacheThreshold: 160,
-		IcacheDen:       1200,
-	}
+	IcacheThreshold: 160,
+	IcacheDen:       1200,
 }
+
+// Costs returns the calibrated cost model.
+func Costs() CostModel { return costs }
 
 // scale applies the --fast codegen factor.
 func (c *CostModel) scale(fast bool, cycles uint64) uint64 {
@@ -145,31 +148,25 @@ func (c *CostModel) scale(fast bool, cycles uint64) uint64 {
 	return s
 }
 
-// costTabKey identifies a precomputed per-instruction cost table.
-// CostModel has only uint64 fields, so it is comparable and usable as a
-// map key directly; Optimized/NoChecks ride along with the program
-// identity.
-type costTabKey struct {
-	prog  *ir.Program
-	costs CostModel
-}
-
-var costTabs = memo.New[costTabKey, []uint64]("vm.cost")
+// costTabs memoizes cost tables by program; Optimized/NoChecks ride
+// along with the program identity.
+var costTabs = memo.New[*ir.Program, []uint64]("vm.cost")
 
 // costTable returns the per-instruction static cost, indexed by the dense
 // Instr.Addr that Program.Finalize assigns. The table folds in the --fast
 // scale and the per-function i-cache surcharge, so the interpreter's hot
 // loop replaces an instrCost switch plus a map lookup with one slice
 // load. Tables are immutable and shared across all VMs of the same
-// (program, cost model) — dozens per experiment suite.
-func costTable(prog *ir.Program, c CostModel) []uint64 {
-	tab, _ := costTabs.Get(costTabKey{prog: prog, costs: c}, func() ([]uint64, error) {
-		return buildCostTable(prog, c), nil
+// program — dozens per experiment suite.
+func costTable(prog *ir.Program) []uint64 {
+	tab, _ := costTabs.Get(prog, func() ([]uint64, error) {
+		return buildCostTable(prog), nil
 	})
 	return tab
 }
 
-func buildCostTable(prog *ir.Program, c CostModel) []uint64 {
+func buildCostTable(prog *ir.Program) []uint64 {
+	c := &costs
 	// Per-function i-cache pressure surcharge (same arithmetic as the
 	// previous per-step computation, applied per instruction).
 	surcharge := make(map[*ir.Func]uint64)
@@ -289,8 +286,8 @@ func (c *CostModel) instrCost(in *ir.Instr, noChecks bool) uint64 {
 // analyses: the symbolic cost engine (internal/analyze/cost) prices its
 // predicted executions with exactly the cycles the interpreter would
 // charge. The returned slice is shared and must not be mutated.
-func StaticCostTable(prog *ir.Program, c CostModel) []uint64 {
-	return costTable(prog, c)
+func StaticCostTable(prog *ir.Program) []uint64 {
+	return costTable(prog)
 }
 
 // ScaleCost applies the --fast codegen factor the same way the executor

@@ -137,7 +137,7 @@ func (m *VM) step(t *Task) bool {
 			return false
 		}
 		acc = arr
-		cycles += uint64(cell.FlatSize()-1) * m.cost(m.Cfg.Costs.PerElem)
+		cycles += uint64(cell.FlatSize()-1) * m.cost(costs.PerElem)
 		m.assignVar(t, in.Dst, cell, in)
 
 	case ir.OpFieldStore:
@@ -166,7 +166,7 @@ func (m *VM) step(t *Task) bool {
 		}
 		acc = arr
 		fs := cell.FlatSize()
-		cycles += uint64(fs-1) * m.cost(m.Cfg.Costs.PerElem)
+		cycles += uint64(fs-1) * m.cost(costs.PerElem)
 		cycles += m.commCost(t, arr, idx, int64(fs)*8, false)
 		if m.skel && !tracksContents(arr) {
 			u := unknownOf(cell, true)
@@ -526,7 +526,7 @@ func (m *VM) assignInto(cell *Value, src *Value) uint64 {
 					copyValueInto(c, src)
 				}
 			}
-			return uint64(n) * m.cost(m.Cfg.Costs.PerElem)
+			return uint64(n) * m.cost(costs.PerElem)
 		}
 	}
 	if cell.K == KNil && (src.K == KArray || src.K == KUnk) && src.Arr != nil {
@@ -541,12 +541,12 @@ func (m *VM) assignInto(cell *Value, src *Value) uint64 {
 		for i := range cell.Elems {
 			copyValueInto(&cell.Elems[i], src)
 		}
-		return uint64(len(cell.Elems)) * m.cost(m.Cfg.Costs.PerElem)
+		return uint64(len(cell.Elems)) * m.cost(costs.PerElem)
 	}
 	n := src.FlatSize()
 	copyValueInto(cell, src)
 	if n > 1 {
-		return uint64(n-1) * m.cost(m.Cfg.Costs.PerElem)
+		return uint64(n-1) * m.cost(costs.PerElem)
 	}
 	return 0
 }
@@ -570,7 +570,7 @@ func (m *VM) copyArray(dst, src *ArrayVal) uint64 {
 			*dc = sc.Copy()
 		}
 	}
-	return uint64(n) * m.cost(m.Cfg.Costs.PerElem)
+	return uint64(n) * m.cost(costs.PerElem)
 }
 
 // cloneArray duplicates an array (value-semantics initialization).
@@ -587,7 +587,7 @@ func (m *VM) cloneArray(src *ArrayVal) (*ArrayVal, uint64) {
 			out.Data[p] = c.Copy()
 		}
 	}
-	return out, m.cost(m.Cfg.Costs.AllocBase) + uint64(len(out.Data))*m.cost(m.Cfg.Costs.PerElem)
+	return out, m.cost(costs.AllocBase) + uint64(len(out.Data))*m.cost(costs.PerElem)
 }
 
 // classDerefCost charges the heap pointer chase when a field access goes
@@ -597,7 +597,7 @@ func (m *VM) classDerefCost(t *Task, base *ir.Var) uint64 {
 		return 0
 	}
 	if m.cellOf(t, base).Deref().K == KClass {
-		return m.cost(m.Cfg.Costs.ClassDeref)
+		return m.cost(costs.ClassDeref)
 	}
 	return 0
 }
@@ -791,11 +791,11 @@ func (m *VM) commCost(t *Task, arr *ArrayVal, idx []int64, bytes int64, write bo
 	m.Stats.CommBytes += bytes
 	in := m.currentInstr(t)
 	m.lis.Comm(bytes, home, t.Locale, arr.OwnerVar, t, in)
-	lat := m.Cfg.Costs.CommLatency
+	lat := costs.CommLatency
 	if out := m.fault.Send(home, t.Locale); out.ExtraLat > 0 {
-		lat += uint64(out.ExtraLat) * m.Cfg.Costs.CommLatency
+		lat += uint64(out.ExtraLat) * costs.CommLatency
 	}
-	return m.cost(lat + uint64(bytes)*m.Cfg.Costs.CommPerByte)
+	return m.cost(lat + uint64(bytes)*costs.CommPerByte)
 }
 
 // noteOwnerRemote records a scheduling violation: an element access at a
@@ -877,7 +877,7 @@ func (m *VM) commAccess(t *Task, arr *ArrayVal, idx []int64, bytes int64, home i
 				owner = arr.OwnerVar
 			}
 			m.lis.Comm(ev.Bytes, ev.From, ev.To, owner, t, in)
-			cycles += m.cost(m.Cfg.Costs.CommLatency*uint64(1+ev.ExtraLat) + uint64(ev.Bytes)*m.Cfg.Costs.CommPerByte)
+			cycles += m.cost(costs.CommLatency*uint64(1+ev.ExtraLat) + uint64(ev.Bytes)*costs.CommPerByte)
 		}
 		m.lis.CommAgg(ev, t)
 	}
@@ -1137,12 +1137,12 @@ func (m *VM) evalTupleBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 			return Value{}, 0, false
 		}
 		out.Elems[i] = v
-		extra += e + m.cost(m.Cfg.Costs.PerElem)
+		extra += e + m.cost(costs.PerElem)
 	}
 	// Tuple arithmetic constructs a fresh result tuple (Chapel tuple ops
 	// are not in-place) — the construction/destruction overhead the CENN
 	// rewrite eliminates (paper §V.C).
-	extra += m.cost(m.Cfg.Costs.TupleBase + uint64(n)*m.Cfg.Costs.TuplePerEl)
+	extra += m.cost(costs.TupleBase + uint64(n)*costs.TuplePerEl)
 	return out, extra, true
 }
 
@@ -1178,7 +1178,7 @@ func (m *VM) evalArrayBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 			return Value{}, 0, false
 		}
 		out.Data[p] = v
-		extra += e + m.cost(m.Cfg.Costs.PerElem)
+		extra += e + m.cost(costs.PerElem)
 	}
 	return Value{K: KArray, Arr: out}, extra, true
 }
@@ -1322,7 +1322,7 @@ func (m *VM) allocArray(t *Task, elemT types.Type, dom DomainVal, inner *DomainV
 	if elemT != nil && elemT.Size() > 8 {
 		elemWords = uint64(elemT.Size() / 8)
 	}
-	extra := m.cost(m.Cfg.Costs.AllocBase) + uint64(n)*elemWords*m.cost(m.Cfg.Costs.AllocPerEl)
+	extra := m.cost(costs.AllocBase) + uint64(n)*elemWords*m.cost(costs.AllocPerEl)
 	switch et := elemT.(type) {
 	case *types.ArrayType:
 		for i := range arr.Data {
@@ -1372,7 +1372,7 @@ func (m *VM) registerAlloc(arr *ArrayVal, ownerVar *ir.Var, site *ir.Instr) {
 // allocInstance creates a class instance.
 func (m *VM) allocInstance(t *Task, rt *types.RecordType, ownerVar *ir.Var, site *ir.Instr) (*Instance, uint64) {
 	obj := &Instance{Type: rt, Fields: make([]Value, len(rt.Fields))}
-	extra := m.cost(m.Cfg.Costs.ClassAlloc)
+	extra := m.cost(costs.ClassAlloc)
 	for i, f := range rt.Fields {
 		if at, ok := f.Type.(*types.ArrayType); ok {
 			if dv, ok2 := m.fieldDomainValue(rt, i); ok2 {
@@ -1424,7 +1424,7 @@ func (m *VM) doCall(t *Task, in *ir.Instr) {
 		} else {
 			v := m.readPtr(t, av)
 			if n := v.FlatSize(); n > 1 {
-				extra += uint64(n-1) * m.cost(m.Cfg.Costs.PerElem)
+				extra += uint64(n-1) * m.cost(costs.PerElem)
 			}
 			copyValueInto(&na.Slots[p.Slot], v)
 		}

@@ -3,7 +3,6 @@ package vm
 import (
 	"io"
 
-	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/token"
 	"repro/internal/types"
@@ -32,7 +31,6 @@ import (
 func NewSkeleton(prog *ir.Program, cfg Config) *VM {
 	cfg.Stdout = io.Discard
 	cfg.Fault = nil
-	cfg.CommRetry = fault.RetryPolicy{}
 	m := New(prog, cfg)
 	m.skel = true
 	m.sliceFn = nil
@@ -122,7 +120,7 @@ func (m *VM) skelBuiltin(t *Task, in *ir.Instr) (cycles uint64, handled, ok bool
 	switch in.Method {
 	case "sqrt", "cbrt", "exp", "log", "sin", "cos", "floor", "ceil":
 		m.assignVarV(t, in.Dst, Value{K: KUnk}, in)
-		return m.cost(m.Cfg.Costs.MathBuiltin), true, true
+		return m.cost(costs.MathBuiltin), true, true
 	case "abs", "sgn", "min", "max":
 		m.assignVarV(t, in.Dst, Value{K: KUnk}, in)
 		return 0, true, true

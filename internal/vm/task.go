@@ -40,7 +40,7 @@ func (m *VM) doSpawn(t *Task, in *ir.Instr) {
 			child.join = g
 		}
 		m.enqueue(child, t)
-		m.rtCharge(t, m.cost(m.Cfg.Costs.SpawnPerTask), "chpl_task_spawn")
+		m.rtCharge(t, m.cost(costs.SpawnPerTask), "chpl_task_spawn")
 	case ir.SpawnCobegin:
 		bodies := append([]*ir.Func{in.Callee}, sp.Extra...)
 		g := &joinGroup{pending: len(bodies), waiter: t, barrierSite: in}
@@ -59,7 +59,7 @@ func (m *VM) doSpawn(t *Task, in *ir.Instr) {
 			m.enqueue(child, t)
 		}
 		t.blockedOn = g
-		m.rtCharge(t, uint64(len(bodies))*m.cost(m.Cfg.Costs.SpawnPerTask), "chpl_task_spawn")
+		m.rtCharge(t, uint64(len(bodies))*m.cost(costs.SpawnPerTask), "chpl_task_spawn")
 	case ir.SpawnOn:
 		locale := t.Locale
 		if sp.Iter != nil {
@@ -80,13 +80,13 @@ func (m *VM) doSpawn(t *Task, in *ir.Instr) {
 		// same-locale `on`, matching Chapel's active-message path). Fault
 		// handling applies only to genuinely remote launches: a dead target
 		// degrades to spawn-locale execution, a faulty link adds latency.
-		launch := m.Cfg.Costs.SpawnPerTask + m.Cfg.Costs.CommLatency
+		launch := costs.SpawnPerTask + costs.CommLatency
 		if locale != t.Locale && m.fault != nil {
 			if m.fault.LocaleDead(locale) {
 				m.fault.NoteFallback()
 				locale = t.Locale
 			} else if out := m.fault.Send(t.Locale, locale); out.ExtraLat > 0 {
-				launch += uint64(out.ExtraLat) * m.Cfg.Costs.CommLatency
+				launch += uint64(out.ExtraLat) * costs.CommLatency
 			}
 		}
 		child := m.newTask(t, tag, locale)
@@ -118,7 +118,7 @@ func (m *VM) spawnLoop(t *Task, in *ir.Instr, tag uint64, captures []Value) {
 	if sp.Kind == ir.SpawnCoforall {
 		numTasks = total
 	} else {
-		numTasks = int64(m.Cfg.DataParTasksPerLocale)
+		numTasks = int64(m.Cfg.NumCores)
 		if numTasks > total {
 			numTasks = total
 		}
@@ -148,18 +148,18 @@ func (m *VM) spawnLoop(t *Task, in *ir.Instr, tag uint64, captures []Value) {
 		m.enqueue(child, t)
 		// Zippered iterator construction per task per iterand.
 		if nf := len(sp.Followers); nf > 0 {
-			m.rtCharge(t, uint64(nf+1)*m.cost(m.Cfg.Costs.ZipSetup), "chpl_task_spawn")
+			m.rtCharge(t, uint64(nf+1)*m.cost(costs.ZipSetup), "chpl_task_spawn")
 		}
 	}
 	t.blockedOn = g
-	m.rtCharge(t, uint64(numTasks)*m.cost(m.Cfg.Costs.SpawnPerTask), "chpl_task_spawn")
+	m.rtCharge(t, uint64(numTasks)*m.cost(costs.SpawnPerTask), "chpl_task_spawn")
 	m.Stats.TasksSpawned += uint64(numTasks)
 }
 
 // spawnLoopOwner creates the worker tasks of a forall/coforall over a
 // Block-dmapped iteration space: owner-computes scheduling. The linear
 // space is partitioned by the owning locale of each dim-0 block (the
-// same decomposition ArrayVal.ElemHome uses), DataParTasksPerLocale
+// same decomposition ArrayVal.ElemHome uses), NumCores
 // workers (or one per index, for coforall) are minted per locale, and
 // each chunk is enqueued on its owner's cores. Remote children cost an
 // active-message launch (SpawnPerTask + CommLatency), mirroring `on`.
@@ -185,7 +185,7 @@ func (m *VM) spawnLoopOwner(t *Task, in *ir.Instr, tag uint64, captures []Value,
 		if sp.Kind == ir.SpawnCoforall {
 			numTasks = cnt
 		} else {
-			numTasks = int64(m.Cfg.DataParTasksPerLocale)
+			numTasks = int64(m.Cfg.NumCores)
 			if numTasks > cnt {
 				numTasks = cnt
 			}
@@ -223,12 +223,12 @@ func (m *VM) spawnLoopOwner(t *Task, in *ir.Instr, tag uint64, captures []Value,
 			pos += n
 			m.enqueue(child, t)
 			if nf := len(sp.Followers); nf > 0 {
-				m.rtCharge(t, uint64(nf+1)*m.cost(m.Cfg.Costs.ZipSetup), "chpl_task_spawn")
+				m.rtCharge(t, uint64(nf+1)*m.cost(costs.ZipSetup), "chpl_task_spawn")
 			}
 		}
-		launch := m.Cfg.Costs.SpawnPerTask
+		launch := costs.SpawnPerTask
 		if target != t.Locale {
-			launch += m.Cfg.Costs.CommLatency
+			launch += costs.CommLatency
 			m.Stats.RemoteSpawns += uint64(numTasks)
 			if m.fault != nil {
 				// One launch message per remote worker runs through the
@@ -236,7 +236,7 @@ func (m *VM) spawnLoopOwner(t *Task, in *ir.Instr, tag uint64, captures []Value,
 				var extra uint64
 				for k := int64(0); k < numTasks; k++ {
 					if out := m.fault.Send(t.Locale, target); out.ExtraLat > 0 {
-						extra += uint64(out.ExtraLat) * m.Cfg.Costs.CommLatency
+						extra += uint64(out.ExtraLat) * costs.CommLatency
 					}
 				}
 				spawnCycles += m.cost(extra)
@@ -321,7 +321,7 @@ func (m *VM) startIterCall(t *Task) {
 		args = append(args, IntVal(idx[i]))
 	}
 	args = append(args, it.captures...)
-	m.rtCharge(t, m.cost(m.Cfg.Costs.IterPerCall+m.Cfg.Costs.CallOverhead), "chpl_task_callTaskFunction")
+	m.rtCharge(t, m.cost(costs.IterPerCall+costs.CallOverhead), "chpl_task_callTaskFunction")
 	na := m.pushFrame(t, body, args, nil)
 	na.CallSite = it.site
 }

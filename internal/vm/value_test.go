@@ -212,7 +212,7 @@ func TestSliceArrayViews(t *testing.T) {
 }
 
 func TestCostModelScale(t *testing.T) {
-	c := DefaultCosts()
+	c := Costs()
 	if c.scale(false, 100) != 100 {
 		t.Error("no scaling without fast")
 	}

@@ -55,9 +55,6 @@ type Config struct {
 	NumCores int
 	// NumLocales simulates the PGAS node count (paper experiments: 1).
 	NumLocales int
-	// DataParTasksPerLocale bounds forall task counts (Chapel's
-	// dataParTasksPerLocale); defaults to NumCores.
-	DataParTasksPerLocale int
 	// Configs overrides `config const` values, like ./prog --name=value.
 	Configs map[string]string
 	// Stdout receives writeln output.
@@ -66,12 +63,6 @@ type Config struct {
 	Listener Listener
 	// MaxCycles aborts runaway programs (0 = no limit).
 	MaxCycles uint64
-	// ClockHz converts cycles to seconds for reports (paper: 2.53 GHz).
-	ClockHz float64
-	// Costs is the cycle cost model.
-	Costs CostModel
-	// Quantum is the instructions-per-scheduling-slice (determinism knob).
-	Quantum int
 	// CommAggregate enables the modeled communication runtime
 	// (internal/comm): halo ghost-window prefetch, run-length coalescing
 	// of sequential/strided remote reads, and a per-locale software cache
@@ -90,7 +81,8 @@ type Config struct {
 	// SiteIrregular sites.
 	CommInspector bool
 	// CommPlan is the static comm-pattern plan (analyze.CommPlan) the
-	// aggregation runtime keys halo prefetches on. Optional.
+	// aggregation runtime keys halo prefetches on. Optional; runs use the
+	// plan they are given, and serve's Request.VMConfig derives it.
 	CommPlan *comm.Plan
 	// NoOwnerComputes disables owner-computes forall scheduling: chunks
 	// of a forall over a Block-dmapped space then inherit the spawning
@@ -104,9 +96,6 @@ type Config struct {
 	// dead locale fall back to the spawner's locale, lost messages are
 	// retransmitted — only cycles and Stats.Fault counters move.
 	Fault *fault.Injector
-	// CommRetry overrides the fault injector's retry policy when any
-	// field is non-zero.
-	CommRetry fault.RetryPolicy
 	// Cancel, when non-nil, aborts the run at the next scheduling quantum
 	// once set. The check sits in the scheduler loop, outside the
 	// instruction hot path, so long-running programs become
@@ -120,17 +109,24 @@ type Config struct {
 // run returns.
 const ErrCancelled = "run cancelled"
 
+// The machine model is fixed: every run charges the one calibrated cost
+// model (costs), converts cycles at the paper testbed's clock, and
+// schedules in quanta of the same length. Only the run shape above
+// varies.
+const (
+	// ClockHz converts cycles to seconds for reports (paper: 2.53 GHz).
+	ClockHz = 2.53e9
+	// quantum is the instructions per scheduling slice (determinism).
+	quantum = 64
+)
+
 // DefaultConfig mirrors the paper's testbed: a single locale with 12
-// cores at 2.53 GHz.
+// cores.
 func DefaultConfig() Config {
 	return Config{
 		NumCores:   12,
 		NumLocales: 1,
 		Stdout:     io.Discard,
-		MaxCycles:  0,
-		ClockHz:    2.53e9,
-		Costs:      DefaultCosts(),
-		Quantum:    64,
 	}
 }
 
@@ -350,8 +346,8 @@ type TaskPanic struct {
 	Msg    string
 }
 
-// Seconds converts wall cycles to seconds at the configured clock.
-func (s Stats) Seconds(hz float64) float64 { return float64(s.WallCycles) / hz }
+// Seconds converts wall cycles to seconds at ClockHz.
+func (s Stats) Seconds() float64 { return float64(s.WallCycles) / ClockHz }
 
 // New creates a VM for prog.
 func New(prog *ir.Program, cfg Config) *VM {
@@ -361,17 +357,8 @@ func New(prog *ir.Program, cfg Config) *VM {
 	if cfg.NumLocales <= 0 {
 		cfg.NumLocales = 1
 	}
-	if cfg.DataParTasksPerLocale <= 0 {
-		cfg.DataParTasksPerLocale = cfg.NumCores
-	}
 	if cfg.Stdout == nil {
 		cfg.Stdout = io.Discard
-	}
-	if cfg.Quantum <= 0 {
-		cfg.Quantum = 64
-	}
-	if cfg.ClockHz == 0 {
-		cfg.ClockHz = 2.53e9
 	}
 	m := &VM{
 		Prog:     prog,
@@ -390,19 +377,14 @@ func New(prog *ir.Program, cfg Config) *VM {
 			Locales:   cfg.NumLocales,
 			CacheCap:  cfg.CommCacheCap,
 			Fault:     cfg.Fault,
-			Retry:     cfg.CommRetry,
 			Inspector: cfg.CommInspector,
 		}, cfg.CommPlan)
-	} else if cfg.Fault != nil && cfg.CommRetry != (fault.RetryPolicy{}) {
-		// Direct (unaggregated) path: apply the retry override here since
-		// no comm runtime will.
-		cfg.Fault.SetRetry(cfg.CommRetry)
 	}
 	m.fault = cfg.Fault
 	m.Stats.Fault = m.fault.Stats()
 	// Per-instruction static costs (with --fast scaling and i-cache
 	// surcharges folded in), shared across VMs of the same program.
-	m.costTab = costTable(prog, cfg.Costs)
+	m.costTab = costTable(prog)
 	// Resolve the tasking-layer runtime functions once (rtCharge/spinTo
 	// attribute cycles to them on every spawn, barrier and iteration).
 	m.rtFns = make(map[string]*ir.Func, 4)
@@ -689,10 +671,10 @@ func (m *VM) runSlice(t *Task) {
 		}
 	}()
 	if m.sliceFn != nil {
-		m.sliceFn(m, t, m.Cfg.Quantum)
+		m.sliceFn(m, t, quantum)
 		return
 	}
-	for i := 0; i < m.Cfg.Quantum; i++ {
+	for i := 0; i < quantum; i++ {
 		if m.err != nil || m.halted || !t.runnable() {
 			break
 		}
@@ -770,7 +752,7 @@ func (m *VM) taskFinished(t *Task) {
 				m.Stats.CommMessages++
 				m.Stats.CommBytes += ev.Bytes
 				m.lis.Comm(ev.Bytes, ev.From, ev.To, ev.Var, t, nil)
-				m.charge(t, m.cost(m.Cfg.Costs.CommLatency*uint64(1+ev.ExtraLat)+uint64(ev.Bytes)*m.Cfg.Costs.CommPerByte))
+				m.charge(t, m.cost(costs.CommLatency*uint64(1+ev.ExtraLat)+uint64(ev.Bytes)*costs.CommPerByte))
 			}
 			m.lis.CommAgg(ev, t)
 		}
@@ -787,7 +769,7 @@ func (m *VM) taskFinished(t *Task) {
 			w.blockedOn = nil
 			// The waiter spun at the barrier until the last child arrived.
 			m.spinTo(w, g.completeClock)
-			m.rtCharge(w, m.cost(m.Cfg.Costs.Barrier), "chpl_task_barrier")
+			m.rtCharge(w, m.cost(costs.Barrier), "chpl_task_barrier")
 			if m.comm != nil {
 				// Barrier-time inspector work: selective replication of
 				// arrays that turned read-mostly during the sweep, charged
@@ -797,7 +779,7 @@ func (m *VM) taskFinished(t *Task) {
 						m.Stats.CommMessages++
 						m.Stats.CommBytes += ev.Bytes
 						m.lis.Comm(ev.Bytes, ev.From, ev.To, ev.Var, w, nil)
-						m.charge(w, m.cost(m.Cfg.Costs.CommLatency*uint64(1+ev.ExtraLat)+uint64(ev.Bytes)*m.Cfg.Costs.CommPerByte))
+						m.charge(w, m.cost(costs.CommLatency*uint64(1+ev.ExtraLat)+uint64(ev.Bytes)*costs.CommPerByte))
 					}
 					m.lis.CommAgg(ev, w)
 				}
@@ -814,7 +796,7 @@ func (m *VM) taskFinished(t *Task) {
 
 // cost applies the --fast scale factor.
 func (m *VM) cost(c uint64) uint64 {
-	return m.Cfg.Costs.scale(m.Prog.Optimized, c)
+	return costs.scale(m.Prog.Optimized, c)
 }
 
 // fail records a runtime error with a stack trace.
@@ -831,9 +813,6 @@ func (m *VM) fail(t *Task, in *ir.Instr, format string, args ...any) {
 	}
 	m.err = e
 }
-
-// TotalCycles returns cumulative cycles so far (PMU view).
-func (m *VM) TotalCycles() uint64 { return m.totalCycles }
 
 // Globals exposes global storage (tests and views).
 func (m *VM) Globals() []Value { return m.globals }
