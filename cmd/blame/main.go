@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -118,19 +117,7 @@ func execGoBackend(req *serve.Request) (*serve.Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	reply, err := super.New(super.Options{}).Outcome(r, req)
-	if err != nil {
-		return nil, err
-	}
-	if reply.RunErr != "" {
-		return nil, fmt.Errorf("%s", reply.RunErr)
-	}
-	var out serve.Outcome
-	if err := json.Unmarshal(reply.Outcome, &out); err != nil {
-		return nil, fmt.Errorf("decoding runner outcome: %v", err)
-	}
-	out.ProfileJSON = reply.Profile
-	return &out, nil
+	return super.New(super.Options{}).Outcome(r, req, nil)
 }
 
 func loadSource(bench string, args []string) (string, string, error) {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/arith"
 	"repro/internal/ir"
 	"repro/internal/vm"
 )
@@ -52,8 +53,8 @@ const (
 	KLocale = vm.KLocale
 )
 
-// IPow is the interpreter's integer exponentiation (OpBin POW).
-func IPow(a, b int64) int64 { return vm.IPow(a, b) }
+// IPow is int ** int (OpBin POW) as the interpreter computes it.
+func IPow(a, b int64) int64 { return arith.IPow(a, b) }
 
 // AsRealF is Value.AsReal for a caller that already proved v is KInt or
 // KReal, through a pointer: the method's value receiver copies the whole

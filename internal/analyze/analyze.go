@@ -1,15 +1,16 @@
-// Package analyze implements a static performance-diagnostics pass
-// framework over the IR and CFG. Where internal/core answers "which
-// variables carry the blame for cycles already spent", this package
-// front-runs the dynamic profiler: it recognizes, at compile time, the
-// patterns the paper's §V case studies discover only after a blame run —
-// zippered-iteration overhead, per-iteration domain remaps, Variable
-// Globalization candidates, param-unrollable loops, CLOMP-style nested
-// structures — plus two correctness/communication diagnostics the blame
-// substrate makes cheap: a forall/coforall data-race detector built on the
-// alias classes and written-vars analysis, and a communication-pattern
-// classifier for accesses to Block-distributed arrays (local / halo /
-// fine-grained remote).
+// Package analyze implements static performance diagnostics over the
+// IR and CFG: a fixed list of passes, each run once per function. Where
+// internal/core answers "which variables carry the blame for cycles
+// already spent", this package front-runs the dynamic profiler: it
+// recognizes, at compile time, the patterns the paper's §V case studies
+// discover only after a blame run — zippered-iteration overhead,
+// per-iteration domain remaps, Variable Globalization candidates,
+// param-unrollable loops, CLOMP-style nested structures — plus two
+// correctness/communication diagnostics the blame substrate makes cheap:
+// a forall/coforall data-race detector built on the alias classes and
+// written-vars analysis, and a communication-pattern classifier for
+// accesses to Block-distributed arrays (local / halo / fine-grained
+// remote).
 //
 // Passes emit structured findings (Diag) keyed to the same debug info the
 // blame core uses, so the views package can join them with dynamic blame
@@ -63,37 +64,21 @@ type Diag struct {
 	FixHint string
 }
 
-// Pass is a diagnostic pass. Concrete passes implement FuncPass or
-// ProgramPass (or both).
-type Pass interface {
-	Name() string
-	// Doc is a one-line description (shown by cmd/mchpl --analyze -v).
-	Doc() string
-}
-
-// FuncPass runs once per non-runtime function.
-type FuncPass interface {
-	Pass
+// funcPass is a diagnostic pass; Run calls it once per non-runtime
+// function.
+type funcPass interface {
 	RunFunc(ctx *Context, f *ir.Func) []Diag
 }
 
-// ProgramPass runs once over the whole program.
-type ProgramPass interface {
-	Pass
-	RunProgram(ctx *Context) []Diag
-}
-
-// DefaultPasses returns the standard pass set in reporting order.
-func DefaultPasses() []Pass {
-	return []Pass{
-		RacePass{},
-		CommPass{},
-		ZipPass{},
-		RemapPass{},
-		GlobalizePass{},
-		ParamUnrollPass{},
-		NestedStructPass{},
-	}
+// passes is the pass set, in reporting order.
+var passes = []funcPass{
+	RacePass{},
+	CommPass{},
+	ZipPass{},
+	RemapPass{},
+	GlobalizePass{},
+	ParamUnrollPass{},
+	NestedStructPass{},
 }
 
 // Context carries the shared analysis state passes draw on: the blame
@@ -391,25 +376,16 @@ type Report struct {
 	Diags []Diag
 }
 
-// Run builds a Context and runs the passes. With no passes given it runs
-// DefaultPasses.
-func Run(prog *ir.Program, passes ...Pass) *Report {
-	if len(passes) == 0 {
-		passes = DefaultPasses()
-	}
+// Run builds a Context and runs every pass over every non-runtime
+// function.
+func Run(prog *ir.Program) *Report {
 	ctx := NewContext(prog)
 	r := &Report{Prog: prog}
 	for _, p := range passes {
-		if fp, ok := p.(FuncPass); ok {
-			for _, f := range prog.Funcs {
-				if f.IsRuntime {
-					continue
-				}
-				r.Diags = append(r.Diags, fp.RunFunc(ctx, f)...)
+		for _, f := range prog.Funcs {
+			if !f.IsRuntime {
+				r.Diags = append(r.Diags, p.RunFunc(ctx, f)...)
 			}
-		}
-		if pp, ok := p.(ProgramPass); ok {
-			r.Diags = append(r.Diags, pp.RunProgram(ctx)...)
 		}
 	}
 	r.sort()

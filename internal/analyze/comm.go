@@ -25,13 +25,8 @@ import (
 // the internal/comm aggregation runtime.
 type CommPass struct{}
 
-// Name implements Pass.
+// Name is the pass name its findings carry.
 func (CommPass) Name() string { return "comm-pattern" }
-
-// Doc implements Pass.
-func (CommPass) Doc() string {
-	return "local / halo / coalescable / fine-grained-remote classification of Block-distributed array accesses"
-}
 
 // commClass is one access's classification.
 type commClass int
@@ -186,7 +181,7 @@ func (ctx *Context) commScan(f *ir.Func) (sites []commSite, where string, summar
 	return sites, where, summaryPos
 }
 
-// RunFunc implements FuncPass.
+// RunFunc implements funcPass.
 func (CommPass) RunFunc(ctx *Context, f *ir.Func) []Diag {
 	sites, where, summaryPos := ctx.commScan(f)
 

@@ -21,15 +21,10 @@ import (
 // replaces both with direct indexed loops: 2.3x).
 type ZipPass struct{}
 
-// Name implements Pass.
+// Name is the pass name its findings carry.
 func (ZipPass) Name() string { return "zip-overhead" }
 
-// Doc implements Pass.
-func (ZipPass) Doc() string {
-	return "zippered-iteration setup/advance overhead in parallel and loop-resident serial zips"
-}
-
-// RunFunc implements FuncPass.
+// RunFunc implements funcPass.
 func (ZipPass) RunFunc(ctx *Context, f *ir.Func) []Diag {
 	var out []Diag
 	for _, b := range f.Blocks {
@@ -98,15 +93,10 @@ func firstArrayName(ctx *Context, ins []*ir.Instr) string {
 // it or indexes directly.
 type RemapPass struct{}
 
-// Name implements Pass.
+// Name is the pass name its findings carry.
 func (RemapPass) Name() string { return "domain-remap" }
 
-// Doc implements Pass.
-func (RemapPass) Doc() string {
-	return "array views (domain remaps) recreated inside loops"
-}
-
-// RunFunc implements FuncPass.
+// RunFunc implements funcPass.
 func (RemapPass) RunFunc(ctx *Context, f *ir.Func) []Diag {
 	var out []Diag
 	for _, b := range f.Blocks {
@@ -147,15 +137,10 @@ func domSliceName(ctx *Context, in *ir.Instr) string {
 // scope (§V.A).
 type GlobalizePass struct{}
 
-// Name implements Pass.
+// Name is the pass name its findings carry.
 func (GlobalizePass) Name() string { return "var-globalization" }
 
-// Doc implements Pass.
-func (GlobalizePass) Doc() string {
-	return "per-call array allocations in hot procedures (Variable Globalization candidates)"
-}
-
-// RunFunc implements FuncPass.
+// RunFunc implements funcPass.
 func (GlobalizePass) RunFunc(ctx *Context, f *ir.Func) []Diag {
 	if !ctx.Hot(f) || f.Outlined {
 		return nil
@@ -188,19 +173,14 @@ func (GlobalizePass) RunFunc(ctx *Context, f *ir.Func) []Diag {
 // paper's Table VII fix for LULESH's 1..4 / 1..8 element loops.
 type ParamUnrollPass struct{}
 
-// Name implements Pass.
+// Name is the pass name its findings carry.
 func (ParamUnrollPass) Name() string { return "param-unroll" }
-
-// Doc implements Pass.
-func (ParamUnrollPass) Doc() string {
-	return "small constant-trip loops unrollable with a `for param` index"
-}
 
 // maxUnrollTrip bounds how large a constant-trip loop the lint still
 // considers unrollable (the paper unrolls trips of 4 and 8).
 const maxUnrollTrip = 8
 
-// RunFunc implements FuncPass.
+// RunFunc implements funcPass.
 func (ParamUnrollPass) RunFunc(ctx *Context, f *ir.Func) []Diag {
 	var out []Diag
 	li := ctx.Loops(f)
@@ -235,15 +215,10 @@ func (ParamUnrollPass) RunFunc(ctx *Context, f *ir.Func) []Diag {
 // zone values into one top-level 2-D array (§V.C: 2.1x).
 type NestedStructPass struct{}
 
-// Name implements Pass.
+// Name is the pass name its findings carry.
 func (NestedStructPass) Name() string { return "nested-structure" }
 
-// Doc implements Pass.
-func (NestedStructPass) Doc() string {
-	return "hot element accesses through record/class-field array chains (flatten candidates)"
-}
-
-// RunFunc implements FuncPass.
+// RunFunc implements funcPass.
 func (NestedStructPass) RunFunc(ctx *Context, f *ir.Func) []Diag {
 	var out []Diag
 	seen := make(map[*ir.Instr]bool)

@@ -14,15 +14,10 @@ import (
 // index-taint partition proof.
 type RacePass struct{}
 
-// Name implements Pass.
+// Name is the pass name its findings carry.
 func (RacePass) Name() string { return "forall-race" }
 
-// Doc implements Pass.
-func (RacePass) Doc() string {
-	return "unsynchronized writes to shared variables in parallel loop bodies"
-}
-
-// RunFunc implements FuncPass.
+// RunFunc implements funcPass.
 func (RacePass) RunFunc(ctx *Context, f *ir.Func) []Diag {
 	sp, ok := ctx.ParallelBody(f)
 	if !ok {

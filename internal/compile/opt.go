@@ -1,9 +1,8 @@
 package compile
 
 import (
+	"repro/internal/arith"
 	"repro/internal/ir"
-	"repro/internal/token"
-	"repro/internal/types"
 )
 
 // optimize runs the --fast pipeline: local constant folding and dead-code
@@ -33,7 +32,8 @@ func optimize(res *Result) {
 }
 
 // foldConstants performs per-block constant propagation/folding over
-// temporaries.
+// temporaries. It folds whatever arith evaluates successfully, so a
+// folded constant is the value the VM would compute.
 func foldConstants(f *ir.Func) {
 	for _, b := range f.Blocks {
 		consts := make(map[*ir.Var]*ir.Lit)
@@ -47,7 +47,7 @@ func foldConstants(f *ir.Func) {
 				la, aok := consts[in.A]
 				lb, bok := consts[in.B]
 				if aok && bok && in.Dst != nil && in.Dst.IsTemp {
-					if lit := foldBin(in.BinOp, la, lb); lit != nil {
+					if lit := arith.BinConst(in.BinOp, la, lb); lit != nil {
 						in.Op = ir.OpConst
 						in.Lit = lit
 						in.A, in.B = nil, nil
@@ -59,7 +59,7 @@ func foldConstants(f *ir.Func) {
 				delete(consts, in.Dst)
 			case ir.OpUn:
 				if la, ok := consts[in.A]; ok && in.Dst != nil && in.Dst.IsTemp {
-					if lit := foldUn(in.BinOp, la); lit != nil {
+					if lit := arith.UnConst(in.BinOp, la); lit != nil {
 						in.Op = ir.OpConst
 						in.Lit = lit
 						in.A = nil
@@ -76,86 +76,6 @@ func foldConstants(f *ir.Func) {
 			}
 		}
 	}
-}
-
-func isInt(l *ir.Lit) bool  { return l.T != nil && l.T.Kind() == types.Int }
-func isReal(l *ir.Lit) bool { return l.T != nil && l.T.Kind() == types.Real }
-func asF(l *ir.Lit) float64 {
-	if isReal(l) {
-		return l.F
-	}
-	return float64(l.I)
-}
-
-func foldBin(op token.Kind, a, b *ir.Lit) *ir.Lit {
-	if !(isInt(a) || isReal(a)) || !(isInt(b) || isReal(b)) {
-		return nil
-	}
-	if isInt(a) && isInt(b) {
-		switch op {
-		case token.PLUS:
-			return &ir.Lit{T: types.IntType, I: a.I + b.I}
-		case token.MINUS:
-			return &ir.Lit{T: types.IntType, I: a.I - b.I}
-		case token.STAR:
-			return &ir.Lit{T: types.IntType, I: a.I * b.I}
-		case token.SLASH:
-			if b.I == 0 {
-				return nil
-			}
-			return &ir.Lit{T: types.IntType, I: a.I / b.I}
-		case token.PERCENT:
-			if b.I == 0 {
-				return nil
-			}
-			return &ir.Lit{T: types.IntType, I: a.I % b.I}
-		case token.LE:
-			return &ir.Lit{T: types.BoolType, B: a.I <= b.I}
-		case token.LT:
-			return &ir.Lit{T: types.BoolType, B: a.I < b.I}
-		case token.GE:
-			return &ir.Lit{T: types.BoolType, B: a.I >= b.I}
-		case token.GT:
-			return &ir.Lit{T: types.BoolType, B: a.I > b.I}
-		case token.EQ:
-			return &ir.Lit{T: types.BoolType, B: a.I == b.I}
-		case token.NEQ:
-			return &ir.Lit{T: types.BoolType, B: a.I != b.I}
-		}
-		return nil
-	}
-	x, y := asF(a), asF(b)
-	switch op {
-	case token.PLUS:
-		return &ir.Lit{T: types.RealType, F: x + y}
-	case token.MINUS:
-		return &ir.Lit{T: types.RealType, F: x - y}
-	case token.STAR:
-		return &ir.Lit{T: types.RealType, F: x * y}
-	case token.SLASH:
-		if y == 0 {
-			return nil
-		}
-		return &ir.Lit{T: types.RealType, F: x / y}
-	}
-	return nil
-}
-
-func foldUn(op token.Kind, a *ir.Lit) *ir.Lit {
-	switch op {
-	case token.MINUS:
-		if isInt(a) {
-			return &ir.Lit{T: types.IntType, I: -a.I}
-		}
-		if isReal(a) {
-			return &ir.Lit{T: types.RealType, F: -a.F}
-		}
-	case token.NOT:
-		if a.T != nil && a.T.Kind() == types.Bool {
-			return &ir.Lit{T: types.BoolType, B: !a.B}
-		}
-	}
-	return nil
 }
 
 // eliminateDead removes pure instructions whose temp destinations are never

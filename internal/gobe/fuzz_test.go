@@ -32,6 +32,7 @@ func FuzzBackendDiff(f *testing.F) {
 
 	seeds := []string{
 		"writeln(1 + 2 * 3);\n",
+		intCmpProg,
 		scalarProg,
 		taskProg,
 		`

@@ -375,6 +375,10 @@ var goBinOp = map[token.Kind]string{
 	token.GT: ">", token.GE: ">=",
 }
 
+// genBin and genUn inline arith.Bin's and arith.Un's int/real/bool
+// cases: the one deliberate second copy of the operator semantics,
+// kept because inline code is where the native backend's speed comes
+// from. FuzzBackendDiff and paperbench -diffbe pin it to the interpreter.
 func (g *fnGen) genBin(in *ir.Instr, blk *ir.Block, k, pc int, fall string) func() bool {
 	if in.A == nil || in.B == nil || in.Dst == nil ||
 		isHere(in.A) || isHere(in.B) || isHere(in.Dst) {
@@ -418,9 +422,11 @@ func (g *fnGen) genBin(in *ir.Instr, blk *ir.Block, k, pc int, fall string) func
 			fmt.Fprintf(g.b, "\t\t} else {\n\t\t\tgoto %s\n\t\t}\n", fall)
 		case token.EQ, token.NEQ, token.LT, token.LE, token.GT, token.GE:
 			o := goBinOp[op]
-			// Numeric comparisons go through float64 exactly like
-			// cmpRealInto (ints compare via AsReal there too).
-			fmt.Fprintf(g.b, "\t\tif %s {\n", numeric)
+			// As in arith.Bin: two ints compare exactly, any other
+			// numeric pair through float64.
+			fmt.Fprintf(g.b, "\t\tif %s {\n", bothInt)
+			fmt.Fprintf(g.b, "\t\t\tvb := p0.I %s p1.I\n\t\t\tdc.K = gobert.KBool\n\t\t\tdc.B = vb\n", o)
+			fmt.Fprintf(g.b, "\t\t} else if %s {\n", numeric)
 			fmt.Fprintf(g.b, "\t\t\tvb := gobert.AsRealF(p0) %s gobert.AsRealF(p1)\n\t\t\tdc.K = gobert.KBool\n\t\t\tdc.B = vb\n", o)
 			if op == token.EQ || op == token.NEQ {
 				g.b.WriteString("\t\t} else if p0.K == gobert.KBool && p1.K == gobert.KBool {\n")

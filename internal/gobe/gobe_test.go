@@ -67,6 +67,27 @@ func TestRunnerMatchesInterpreterScalar(t *testing.T) {
 	}
 }
 
+// intCmpProg compares two ints that are distinct but equal as float64.
+const intCmpProg = "writeln(9007199254740993 > 9007199254740992);\n"
+
+// TestIntComparisonExact pins the native backend's int/int comparison
+// to the interpreter's exact one, with and without --fast.
+func TestIntComparisonExact(t *testing.T) {
+	for _, opts := range []compile.Options{{}, {Fast: true}} {
+		spec := &gobert.RunSpec{Mode: "run", MaxCycles: 1_000_000, Request: &serve.Request{Cores: 4, Locales: 1}}
+		interp, compiled, err := RunBoth("intcmp.mchpl", intCmpProg, opts, spec)
+		if errors.Is(err, ErrNoGoToolchain) {
+			t.Skip("no go toolchain")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if interp.Output != "true\n" || compiled.Output != "true\n" {
+			t.Errorf("fast=%v: interpreter %q, native %q, want %q", opts.Fast, interp.Output, compiled.Output, "true\n")
+		}
+	}
+}
+
 func TestRunnerMatchesInterpreterExamples(t *testing.T) {
 	root, err := moduleRoot()
 	if err != nil {

@@ -11,6 +11,7 @@ package ir
 import (
 	"fmt"
 
+	"repro/internal/arith"
 	"repro/internal/sem"
 	"repro/internal/source"
 	"repro/internal/token"
@@ -121,28 +122,9 @@ func (k SpawnKind) String() string {
 	return "?"
 }
 
-// Lit is a literal constant operand.
-type Lit struct {
-	T types.Type
-	I int64
-	F float64
-	B bool
-	S string
-}
-
-func (l *Lit) String() string {
-	switch l.T.Kind() {
-	case types.Int:
-		return fmt.Sprintf("%d", l.I)
-	case types.Real:
-		return fmt.Sprintf("%g", l.F)
-	case types.Bool:
-		return fmt.Sprintf("%t", l.B)
-	case types.String:
-		return fmt.Sprintf("%q", l.S)
-	}
-	return "?"
-}
+// Lit is a literal constant operand (OpConst), the same type as a sem
+// param value.
+type Lit = arith.Const
 
 // Var is an IR variable: a source variable, formal parameter, global, or a
 // flagged compiler temporary (temporaries are tracked through the blame

@@ -3,6 +3,7 @@ package sem
 import (
 	"fmt"
 
+	"repro/internal/arith"
 	"repro/internal/ast"
 	"repro/internal/source"
 	"repro/internal/types"
@@ -756,13 +757,13 @@ func (c *checker) forStmt(s *ast.ForStmt) {
 				hi = c.evalConst(r.Hi)
 			} else if r.Count != nil {
 				if cnt := c.evalConst(r.Count); cnt != nil && lo != nil {
-					hi = IntConst(lo.Int() + cnt.Int() - 1)
+					hi = arith.Int(lo.Int() + cnt.Int() - 1).Const()
 				}
 			}
 			if lo == nil || hi == nil {
 				c.errorf(s.Iter.Pos(), "param for bounds must be compile-time constants")
 			} else {
-				c.info.Consts[r] = &ConstValue{T: types.IntType, I: hi.Int() - lo.Int() + 1}
+				c.info.Consts[r] = arith.Int(hi.Int() - lo.Int() + 1).Const()
 				c.info.Consts[r.Lo] = lo
 				if r.Hi != nil {
 					c.info.Consts[r.Hi] = hi

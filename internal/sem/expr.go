@@ -1,6 +1,7 @@
 package sem
 
 import (
+	"repro/internal/arith"
 	"repro/internal/ast"
 	"repro/internal/token"
 	"repro/internal/types"
@@ -24,13 +25,13 @@ func (c *checker) expr(e ast.Expr) types.Type {
 func (c *checker) exprInternal(e ast.Expr) types.Type {
 	switch x := e.(type) {
 	case *ast.IntLit:
-		c.info.Consts[x] = IntConst(x.Value)
+		c.info.Consts[x] = arith.Int(x.Value).Const()
 		return types.IntType
 	case *ast.RealLit:
-		c.info.Consts[x] = RealConst(x.Value)
+		c.info.Consts[x] = arith.Real(x.Value).Const()
 		return types.RealType
 	case *ast.BoolLit:
-		c.info.Consts[x] = BoolConst(x.Value)
+		c.info.Consts[x] = arith.Bool(x.Value).Const()
 		return types.BoolType
 	case *ast.StringLit:
 		return types.StringType
@@ -161,7 +162,7 @@ func (c *checker) binaryExpr(x *ast.BinaryExpr) types.Type {
 	}
 	// Constant folding for param contexts.
 	if lv, rv := c.info.Consts[x.X], c.info.Consts[x.Y]; lv != nil && rv != nil {
-		if v := foldBinary(x.Op, lv, rv); v != nil {
+		if v := arith.BinConst(x.Op, lv, rv); v != nil {
 			c.info.Consts[x] = v
 		}
 	}
@@ -243,7 +244,7 @@ func (c *checker) unaryExpr(x *ast.UnaryExpr) types.Type {
 		return nil
 	}
 	if v := c.info.Consts[x.X]; v != nil {
-		if f := foldUnary(x.Op, v); f != nil {
+		if f := arith.UnConst(x.Op, v); f != nil {
 			c.info.Consts[x] = f
 		}
 	}
@@ -415,7 +416,7 @@ func (c *checker) fieldExpr(x *ast.FieldExpr) types.Type {
 		return nil
 	case *types.TupleType:
 		if name == "size" {
-			c.info.Consts[x] = IntConst(int64(b.Count))
+			c.info.Consts[x] = arith.Int(int64(b.Count)).Const()
 			return types.IntType
 		}
 		c.errorf(x.Name.NamePos, "tuple has no member %s", name)
@@ -812,11 +813,11 @@ func (c *checker) evalConst(e ast.Expr) *ConstValue {
 	}
 	switch x := e.(type) {
 	case *ast.IntLit:
-		return IntConst(x.Value)
+		return arith.Int(x.Value).Const()
 	case *ast.RealLit:
-		return RealConst(x.Value)
+		return arith.Real(x.Value).Const()
 	case *ast.BoolLit:
-		return BoolConst(x.Value)
+		return arith.Bool(x.Value).Const()
 	case *ast.StringLit:
 		return &ConstValue{T: types.StringType, S: x.Value}
 	case *ast.Ident:
@@ -833,118 +834,14 @@ func (c *checker) evalConst(e ast.Expr) *ConstValue {
 		if v == nil {
 			return nil
 		}
-		return foldUnary(x.Op, v)
+		return arith.UnConst(x.Op, v)
 	case *ast.BinaryExpr:
 		l := c.evalConst(x.X)
 		r := c.evalConst(x.Y)
 		if l == nil || r == nil {
 			return nil
 		}
-		return foldBinary(x.Op, l, r)
-	}
-	return nil
-}
-
-func foldUnary(op token.Kind, v *ConstValue) *ConstValue {
-	switch op {
-	case token.MINUS:
-		switch v.T.Kind() {
-		case types.Int:
-			return IntConst(-v.I)
-		case types.Real:
-			return RealConst(-v.F)
-		}
-	case token.NOT:
-		if v.T.Kind() == types.Bool {
-			return BoolConst(!v.B)
-		}
-	}
-	return nil
-}
-
-func foldBinary(op token.Kind, l, r *ConstValue) *ConstValue {
-	lk, rk := l.T.Kind(), r.T.Kind()
-	bothInt := lk == types.Int && rk == types.Int
-	numeric := (lk == types.Int || lk == types.Real) && (rk == types.Int || rk == types.Real)
-	switch op {
-	case token.PLUS, token.MINUS, token.STAR, token.SLASH, token.PERCENT, token.POW:
-		if !numeric {
-			return nil
-		}
-		if bothInt {
-			a, b := l.I, r.I
-			switch op {
-			case token.PLUS:
-				return IntConst(a + b)
-			case token.MINUS:
-				return IntConst(a - b)
-			case token.STAR:
-				return IntConst(a * b)
-			case token.SLASH:
-				if b == 0 {
-					return nil
-				}
-				return IntConst(a / b)
-			case token.PERCENT:
-				if b == 0 {
-					return nil
-				}
-				return IntConst(a % b)
-			case token.POW:
-				v := int64(1)
-				for i := int64(0); i < b; i++ {
-					v *= a
-				}
-				return IntConst(v)
-			}
-		}
-		a, b := l.Float(), r.Float()
-		switch op {
-		case token.PLUS:
-			return RealConst(a + b)
-		case token.MINUS:
-			return RealConst(a - b)
-		case token.STAR:
-			return RealConst(a * b)
-		case token.SLASH:
-			if b == 0 {
-				return nil
-			}
-			return RealConst(a / b)
-		case token.POW:
-			v := 1.0
-			for i := 0; i < int(b); i++ {
-				v *= a
-			}
-			return RealConst(v)
-		}
-	case token.EQ, token.NEQ, token.LT, token.LE, token.GT, token.GE:
-		if !numeric {
-			return nil
-		}
-		a, b := l.Float(), r.Float()
-		switch op {
-		case token.EQ:
-			return BoolConst(a == b)
-		case token.NEQ:
-			return BoolConst(a != b)
-		case token.LT:
-			return BoolConst(a < b)
-		case token.LE:
-			return BoolConst(a <= b)
-		case token.GT:
-			return BoolConst(a > b)
-		case token.GE:
-			return BoolConst(a >= b)
-		}
-	case token.AND:
-		if lk == types.Bool && rk == types.Bool {
-			return BoolConst(l.B && r.B)
-		}
-	case token.OR:
-		if lk == types.Bool && rk == types.Bool {
-			return BoolConst(l.B || r.B)
-		}
+		return arith.BinConst(x.Op, l, r)
 	}
 	return nil
 }

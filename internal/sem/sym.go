@@ -5,8 +5,7 @@
 package sem
 
 import (
-	"fmt"
-
+	"repro/internal/arith"
 	"repro/internal/ast"
 	"repro/internal/source"
 	"repro/internal/types"
@@ -91,53 +90,9 @@ func (s *Symbol) Context() string {
 	return "main"
 }
 
-// ConstValue is a compile-time constant (param) value.
-type ConstValue struct {
-	T types.Type
-	I int64
-	F float64
-	B bool
-	S string
-}
-
-// Int returns the value as an int64.
-func (v *ConstValue) Int() int64 {
-	if v.T.Kind() == types.Real {
-		return int64(v.F)
-	}
-	return v.I
-}
-
-// Float returns the value as a float64.
-func (v *ConstValue) Float() float64 {
-	if v.T.Kind() == types.Real {
-		return v.F
-	}
-	return float64(v.I)
-}
-
-func (v *ConstValue) String() string {
-	switch v.T.Kind() {
-	case types.Int:
-		return fmt.Sprintf("%d", v.I)
-	case types.Real:
-		return fmt.Sprintf("%g", v.F)
-	case types.Bool:
-		return fmt.Sprintf("%t", v.B)
-	case types.String:
-		return v.S
-	}
-	return "?"
-}
-
-// IntConst makes an int ConstValue.
-func IntConst(i int64) *ConstValue { return &ConstValue{T: types.IntType, I: i} }
-
-// RealConst makes a real ConstValue.
-func RealConst(f float64) *ConstValue { return &ConstValue{T: types.RealType, F: f} }
-
-// BoolConst makes a bool ConstValue.
-func BoolConst(b bool) *ConstValue { return &ConstValue{T: types.BoolType, B: b} }
+// ConstValue is a compile-time constant (param) value, the same type as
+// an IR literal.
+type ConstValue = arith.Const
 
 // Scope is a lexical scope.
 type Scope struct {

@@ -240,11 +240,24 @@ func (s *Supervisor) Exec(t Target, spec *gobert.RunSpec) (*gobert.Reply, error)
 }
 
 // Outcome runs the full serve.Execute pipeline inside the runner, with
-// the supervisor's recovery ladder around it.
-func (s *Supervisor) Outcome(r *gobe.Runner, req *serve.Request) (*gobert.Reply, error) {
+// the supervisor's recovery ladder around it, and decodes the runner's
+// outcome. Setting cancel SIGKILLs the runner mid-run.
+func (s *Supervisor) Outcome(r *gobe.Runner, req *serve.Request, cancel *atomic.Bool) (*serve.Outcome, error) {
 	req2 := *req
 	req2.Name, req2.Source = r.Name, r.Source
-	return s.Exec(ForRunner(r), &gobert.RunSpec{Mode: "outcome", Request: &req2})
+	reply, err := s.exec(ForRunner(r), &gobert.RunSpec{Mode: "outcome", Request: &req2}, cancel)
+	if err != nil {
+		return nil, err
+	}
+	if reply.RunErr != "" {
+		return nil, errors.New(reply.RunErr)
+	}
+	var out serve.Outcome
+	if err := json.Unmarshal(reply.Outcome, &out); err != nil {
+		return nil, fmt.Errorf("decoding runner outcome: %v", err)
+	}
+	out.ProfileJSON = reply.Profile
+	return &out, nil
 }
 
 // ServeRun adapts the supervisor to serve.Options.Run: every scheduled
@@ -259,24 +272,11 @@ func (s *Supervisor) ServeRun() func(*serve.Request, *serve.RunControl) (*serve.
 			s.buildFallbacks.Add(1)
 			return serve.Execute(req, ctl)
 		}
-		req2 := *req
 		var cancel *atomic.Bool
 		if ctl != nil {
 			cancel = ctl.Cancel
 		}
-		reply, err := s.exec(ForRunner(r), &gobert.RunSpec{Mode: "outcome", Request: &req2}, cancel)
-		if err != nil {
-			return nil, err
-		}
-		if reply.RunErr != "" {
-			return nil, errors.New(reply.RunErr)
-		}
-		var out serve.Outcome
-		if err := json.Unmarshal(reply.Outcome, &out); err != nil {
-			return nil, fmt.Errorf("decoding runner outcome: %v", err)
-		}
-		out.ProfileJSON = reply.Profile
-		return &out, nil
+		return s.Outcome(r, req, cancel)
 	}
 }
 

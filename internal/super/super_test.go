@@ -12,6 +12,8 @@ import (
 
 	"repro/gobert"
 	"repro/internal/fault"
+	"repro/internal/gobe"
+	"repro/internal/serve"
 	"repro/internal/vm"
 )
 
@@ -196,6 +198,31 @@ func TestExecRunErrIsSuccess(t *testing.T) {
 	}
 	if st := s.Stats(); st.Restarts != 0 || st.Crashes != 0 || st.Fallbacks != 0 {
 		t.Fatalf("stats = %+v, want a clean success", st)
+	}
+}
+
+// TestOutcomeDecodes: Outcome decodes the runner's outcome envelope,
+// attaches its profile, and returns a program-level RunErr or an
+// undecodable envelope as the error.
+func TestOutcomeDecodes(t *testing.T) {
+	opts, _ := fastOpts(0)
+	s := New(opts)
+	outcome := func(body string) (*serve.Outcome, error) {
+		r := &gobe.Runner{Name: "p.mchpl", Source: "writeln(1);\n", Bin: fakeRunner(t, body).Bin}
+		return s.Outcome(r, &serve.Request{}, nil)
+	}
+	out, err := outcome(`printf '{"outcome":{"text":"view","samples":3},"profile":{"rows":1}}'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Text != "view" || out.Samples != 3 || string(out.ProfileJSON) != `{"rows":1}` {
+		t.Fatalf("outcome = %+v, profile %s", out, out.ProfileJSON)
+	}
+	if _, err := outcome(`printf '{"run_err":"halt: boom"}'`); err == nil || err.Error() != "halt: boom" {
+		t.Fatalf("run error: err = %v", err)
+	}
+	if _, err := outcome(`printf '{"outcome":"text"}'`); err == nil || !strings.Contains(err.Error(), "decoding runner outcome") {
+		t.Fatalf("bad envelope: err = %v", err)
 	}
 }
 

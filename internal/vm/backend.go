@@ -74,10 +74,6 @@ func (m *VM) Retire(t *Task, addr uint64, acc *ArrayVal) {
 	}
 }
 
-// IPow exposes the interpreter's integer exponentiation to compiled
-// backends (OpBin POW on int operands must match bit-for-bit).
-func IPow(a, b int64) int64 { return ipow(a, b) }
-
 // CostTab exposes the precomputed per-instruction static cost table
 // (indexed by dense instruction address) so compiled code can charge
 // inline instead of through a Retire call per instruction.

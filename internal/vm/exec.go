@@ -1,8 +1,7 @@
 package vm
 
 import (
-	"math"
-
+	"repro/internal/arith"
 	"repro/internal/comm"
 	"repro/internal/ir"
 	"repro/internal/token"
@@ -907,51 +906,12 @@ func (m *VM) evalBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	if a.K == KUnk || b.K == KUnk {
 		return Value{K: KUnk}, 0, true
 	}
+	if r, handled, ok := arith.Bin(op, scalar(a), scalar(b)); handled {
+		return fromScalar(r), 0, ok
+	}
 	switch op {
-	case token.AND:
-		return BoolVal(a.B && b.B), 0, a.K == KBool && b.K == KBool
-	case token.OR:
-		return BoolVal(a.B || b.B), 0, a.K == KBool && b.K == KBool
 	case token.EQ, token.NEQ, token.LT, token.LE, token.GT, token.GE:
 		return compare(op, a, b)
-	}
-	// Numeric.
-	if a.K == KInt && b.K == KInt {
-		switch op {
-		case token.PLUS:
-			return IntVal(a.I + b.I), 0, true
-		case token.MINUS:
-			return IntVal(a.I - b.I), 0, true
-		case token.STAR:
-			return IntVal(a.I * b.I), 0, true
-		case token.SLASH:
-			if b.I == 0 {
-				return Value{}, 0, false
-			}
-			return IntVal(a.I / b.I), 0, true
-		case token.PERCENT:
-			if b.I == 0 {
-				return Value{}, 0, false
-			}
-			return IntVal(a.I % b.I), 0, true
-		case token.POW:
-			return IntVal(ipow(a.I, b.I)), 0, true
-		}
-	}
-	if (a.K == KInt || a.K == KReal) && (b.K == KInt || b.K == KReal) {
-		x, y := a.AsReal(), b.AsReal()
-		switch op {
-		case token.PLUS:
-			return RealVal(x + y), 0, true
-		case token.MINUS:
-			return RealVal(x - y), 0, true
-		case token.STAR:
-			return RealVal(x * y), 0, true
-		case token.SLASH:
-			return RealVal(x / y), 0, true
-		case token.POW:
-			return RealVal(math.Pow(x, y)), 0, true
-		}
 	}
 	if a.K == KString && b.K == KString && op == token.PLUS {
 		return StrVal(a.S + b.S), 0, true
@@ -962,104 +922,36 @@ func (m *VM) evalBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 // binScalarInto is the hot-path form of evalBin for int/real/bool
 // operands, writing the result straight into out (the caller guarantees
 // out is not an array/tuple/record cell, where assignment broadcasts).
-// handled=false means "not a case this covers — use evalBin"; when
-// handled, ok mirrors evalBin's ok exactly (e.g. division by zero).
-// out is only written on success, and only after both operands are
-// read, so out may alias a or b.
+// handled and ok are arith.Bin's. out is only written on success, and
+// only after both operands are read, so out may alias a or b.
 func binScalarInto(op token.Kind, a, b, out *Value) (handled, ok bool) {
-	if a.K == KInt && b.K == KInt {
-		var n int64
-		switch op {
-		case token.PLUS:
-			n = a.I + b.I
-		case token.MINUS:
-			n = a.I - b.I
-		case token.STAR:
-			n = a.I * b.I
-		case token.SLASH:
-			if b.I == 0 {
-				return true, false
-			}
-			n = a.I / b.I
-		case token.PERCENT:
-			if b.I == 0 {
-				return true, false
-			}
-			n = a.I % b.I
-		case token.POW:
-			n = ipow(a.I, b.I)
-		case token.EQ, token.NEQ, token.LT, token.LE, token.GT, token.GE:
-			return true, cmpRealInto(op, a.AsReal(), b.AsReal(), out)
-		default:
-			return false, false
-		}
-		*out = Value{K: KInt, I: n}
-		return true, true
+	r, handled, ok := arith.Bin(op, scalar(a), scalar(b))
+	if handled && ok {
+		*out = fromScalar(r)
 	}
-	if (a.K == KInt || a.K == KReal) && (b.K == KInt || b.K == KReal) {
-		x, y := a.AsReal(), b.AsReal()
-		var f float64
-		switch op {
-		case token.PLUS:
-			f = x + y
-		case token.MINUS:
-			f = x - y
-		case token.STAR:
-			f = x * y
-		case token.SLASH:
-			f = x / y
-		case token.POW:
-			f = math.Pow(x, y)
-		case token.EQ, token.NEQ, token.LT, token.LE, token.GT, token.GE:
-			return true, cmpRealInto(op, x, y, out)
-		default:
-			return false, false
-		}
-		*out = Value{K: KReal, F: f}
-		return true, true
-	}
-	if a.K == KBool && b.K == KBool {
-		var r bool
-		switch op {
-		case token.AND:
-			r = a.B && b.B
-		case token.OR:
-			r = a.B || b.B
-		case token.EQ:
-			r = a.B == b.B
-		case token.NEQ:
-			r = a.B != b.B
-		default:
-			return false, false
-		}
-		*out = Value{K: KBool, B: r}
-		return true, true
-	}
-	return false, false
+	return handled, ok
 }
 
-// cmpRealInto writes the six-way numeric comparison (the same AsReal
-// semantics compare uses for non-string scalars) into out.
-func cmpRealInto(op token.Kind, x, y float64, out *Value) bool {
-	var r bool
-	switch op {
-	case token.EQ:
-		r = x == y
-	case token.NEQ:
-		r = x != y
-	case token.LT:
-		r = x < y
-	case token.LE:
-		r = x <= y
-	case token.GT:
-		r = x > y
-	case token.GE:
-		r = x >= y
-	}
-	*out = Value{K: KBool, B: r}
-	return true
+// scalarKinds and valueKinds map between Value kinds and the arith
+// operand kinds; every non-scalar Value kind maps to types.Invalid,
+// which no arith operator handles.
+var (
+	scalarKinds = [KUnk + 1]types.Kind{KInt: types.Int, KReal: types.Real, KBool: types.Bool}
+	valueKinds  = [types.Atomic + 1]Kind{types.Int: KInt, types.Real: KReal, types.Bool: KBool}
+)
+
+// scalar and fromScalar convert by copying fields: the operator hot
+// path must not build a types.Type per operand.
+func scalar(v *Value) arith.Val {
+	return arith.Val{K: scalarKinds[v.K], I: v.I, F: v.F, B: v.B}
 }
 
+func fromScalar(r arith.Val) Value {
+	return Value{K: valueKinds[r.K], I: r.I, F: r.F, B: r.B}
+}
+
+// compare handles the comparisons arith.Bin does not: class and nil
+// handles, strings, and mixed-kind pairs, which compare as reals.
 func compare(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	// Class/nil comparisons.
 	if a.K == KClass || b.K == KClass || a.K == KNil || b.K == KNil {
@@ -1086,30 +978,8 @@ func compare(op token.Kind, a, b *Value) (Value, uint64, bool) {
 			return BoolVal(a.S != b.S), 0, true
 		}
 	}
-	if a.K == KBool && b.K == KBool {
-		switch op {
-		case token.EQ:
-			return BoolVal(a.B == b.B), 0, true
-		case token.NEQ:
-			return BoolVal(a.B != b.B), 0, true
-		}
-	}
-	x, y := a.AsReal(), b.AsReal()
-	switch op {
-	case token.EQ:
-		return BoolVal(x == y), 0, true
-	case token.NEQ:
-		return BoolVal(x != y), 0, true
-	case token.LT:
-		return BoolVal(x < y), 0, true
-	case token.LE:
-		return BoolVal(x <= y), 0, true
-	case token.GT:
-		return BoolVal(x > y), 0, true
-	case token.GE:
-		return BoolVal(x >= y), 0, true
-	}
-	return Value{}, 0, false
+	r, ok := arith.Compare(op, a.AsReal(), b.AsReal())
+	return BoolVal(r), 0, ok
 }
 
 func (m *VM) evalTupleBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
@@ -1188,41 +1058,21 @@ func evalUn(op token.Kind, a *Value) (Value, bool) {
 	if a.K == KUnk {
 		return Value{K: KUnk}, true
 	}
-	switch op {
-	case token.MINUS:
-		switch a.K {
-		case KInt:
-			return IntVal(-a.I), true
-		case KReal:
-			return RealVal(-a.F), true
-		case KTuple:
-			out := Value{K: KTuple, Elems: make([]Value, len(a.Elems))}
-			for i := range a.Elems {
-				v, ok := evalUn(op, &a.Elems[i])
-				if !ok {
-					return Value{}, false
-				}
-				out.Elems[i] = v
+	if r, ok := arith.Un(op, scalar(a)); ok {
+		return fromScalar(r), true
+	}
+	if op == token.MINUS && a.K == KTuple {
+		out := Value{K: KTuple, Elems: make([]Value, len(a.Elems))}
+		for i := range a.Elems {
+			v, ok := evalUn(op, &a.Elems[i])
+			if !ok {
+				return Value{}, false
 			}
-			return out, true
+			out.Elems[i] = v
 		}
-	case token.NOT:
-		if a.K == KBool {
-			return BoolVal(!a.B), true
-		}
+		return out, true
 	}
 	return Value{}, false
-}
-
-func ipow(a, b int64) int64 {
-	if b < 0 {
-		return 0
-	}
-	v := int64(1)
-	for i := int64(0); i < b; i++ {
-		v *= a
-	}
-	return v
 }
 
 // ---------------------------------------------------------------- memory
