@@ -5,7 +5,7 @@
 // served from a sharded content-addressed cache (optionally shadowed by
 // an append-only on-disk journal that makes restarts warm), and
 // per-session streams deliver sampler progress plus incremental blame
-// ranks while a run is still going.
+// ranks (the top 5, every 2000 samples) while a run is still going.
 //
 // Usage:
 //
@@ -56,7 +56,6 @@ func main() {
 		deadline     = flag.Duration("deadline", 0, "default per-session deadline for requests that set none (0 = none)")
 		maxSessions  = flag.Int("max-sessions", 4096, "retained session metadata bound")
 		maxQueue     = flag.Int("max-queue", 0, "queued-job bound; submissions beyond it are shed with 503 (0 = unbounded)")
-		rankEvery    = flag.Int("rank-every", 2000, "samples between incremental blame-rank stream events")
 		journal      = flag.String("journal", "", "append-only outcome journal path; replayed into the cache at boot (\"\" = disabled)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight sessions")
 		backend      = flag.String("backend", "interp", "execution backend: interp (in-process) or go (supervised native runners)")
@@ -69,7 +68,6 @@ func main() {
 		CacheShards:     *shards,
 		MaxSessions:     *maxSessions,
 		DefaultDeadline: *deadline,
-		RankEvery:       *rankEvery,
 		MaxQueue:        *maxQueue,
 		Journal:         *journal,
 	}

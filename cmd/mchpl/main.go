@@ -167,7 +167,7 @@ func finishRun(st vm.Stats, showStats bool, locales int) {
 	if showStats {
 		fmt.Fprintf(os.Stderr, "elapsed (simulated): %.6f s  wall cycles: %d  total cycles: %d  spin: %.1f%%  tasks: %d  allocs: %d\n",
 			st.Seconds(), st.WallCycles, st.TotalCycles,
-			100*float64(st.SpinCycles)/float64(max64(1, st.TotalCycles)), st.TasksSpawned, st.Allocations)
+			100*float64(st.SpinCycles)/float64(max(1, st.TotalCycles)), st.TasksSpawned, st.Allocations)
 		fmt.Fprintf(os.Stderr, "comm: %d messages  %d bytes\n", st.CommMessages, st.CommBytes)
 		if locales > 1 {
 			fmt.Fprintf(os.Stderr, "scheduling: %d owner-computes chunks  %d remote spawns  %d owner-site violations\n",
@@ -210,11 +210,4 @@ func loadSource(bench string, args []string) (src, name string, err error) {
 		return "", "", err
 	}
 	return string(b), args[0], nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -27,7 +27,9 @@ type Config struct {
 	VM vm.Config
 	// Threshold is the PMU overflow threshold in cycles. The paper uses
 	// the large prime 608,888,809 on multi-second runs; scale it to the
-	// simulated workload so a run yields a few thousand samples.
+	// simulated workload so a run yields a few thousand samples. 0 means
+	// calibrate: Profile derives it from an unmonitored run (see
+	// calibrate).
 	Threshold uint64
 	// Core selects the analysis options (ablation knobs).
 	Core core.Options
@@ -38,10 +40,11 @@ type Config struct {
 	// SampleBuffer bounds the monitor's sample ring buffer (0 =
 	// unbounded): overruns drop samples, surfaced as Profile.Dropped.
 	SampleBuffer int
-	// Wrap, when non-nil, wraps the sampling listener before the VM
-	// runs. The serving layer (internal/serve) interposes a progress
-	// monitor here that streams sampler progress and incremental blame
-	// ranks without touching the pipeline itself. The wrapper must
+	// Wrap, when non-nil, wraps the sampling listener immediately before
+	// the profiled run, after any calibration. The serving layer
+	// (internal/serve) interposes a progress monitor here that streams
+	// sampler progress and incremental blame ranks without touching the
+	// pipeline itself. The wrapper must
 	// delegate every callback to the sampler or the profile will be
 	// incomplete.
 	Wrap func(smp *sampler.Sampler, analysis *core.Analysis) vm.Listener
@@ -79,10 +82,16 @@ func (r *Result) CommBlame() *postmortem.CommProfile {
 	return p
 }
 
-// Profile runs the full pipeline on a compiled program.
+// Profile runs the full pipeline on a compiled program. It is the one
+// profiling sequence: calibrate (when cfg.Threshold is 0), analyze, run
+// under the sampler, post-process.
 func Profile(prog *ir.Program, cfg Config) (*Result, error) {
 	if cfg.Threshold == 0 {
-		cfg.Threshold = 6089
+		th, err := calibrate(prog, cfg.VM)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Threshold = th
 	}
 	// Step 1: static analysis (pre-run). Memoized: the analysis is a pure
 	// function of (program, options) and immutable once built, so repeated

@@ -1,4 +1,4 @@
-package serve
+package blame
 
 import (
 	"io"
@@ -67,14 +67,14 @@ func newCalibrationKey(prog *ir.Program, cfg *vm.Config) calibrationKey {
 var calibrationRuns atomic.Int64
 
 // unmonitored is the process-wide memo of unmonitored runs.
-var unmonitored = memo.New[calibrationKey, vm.Stats]("serve.unmonitored")
+var unmonitored = memo.New[calibrationKey, vm.Stats]("blame.unmonitored")
 
 // Unmonitored returns the stats of one unmonitored run of prog under cfg,
 // from the memo when the run shape has run before. It is the one
 // memoized unmonitored run: Profile calibrates its sampling threshold
-// with it and the experiment harness times programs with it. The Stats
-// are shared and must not be mutated. A run with a Fault or a Listener
-// always executes.
+// with it (see calibrate) and the experiment harness times programs
+// with it. The Stats are shared and must not be mutated. A run with a
+// Fault or a Listener always executes.
 func Unmonitored(prog *ir.Program, cfg vm.Config) (vm.Stats, error) {
 	cfg.Stdout = io.Discard // callers need the stats only; a profiled run re-prints the output
 	run := func() (vm.Stats, error) {
@@ -85,4 +85,21 @@ func Unmonitored(prog *ir.Program, cfg vm.Config) (vm.Stats, error) {
 		return run()
 	}
 	return unmonitored.Get(newCalibrationKey(prog, &cfg), run)
+}
+
+// calibrate returns the sampling threshold for a profiled run of prog
+// under cfg: TotalCycles/4001 of an unmonitored run (at least 101, forced
+// odd, in the spirit of the paper's prime), which targets a few thousand
+// samples where the paper's fixed large prime assumes multi-second wall
+// times. The calibration runs without cfg's fault injector and listener,
+// so it draws nothing from the fault PRNG: the profiled run's fault
+// schedule does not depend on whether a threshold was given or the
+// calibration came from the memo.
+func calibrate(prog *ir.Program, cfg vm.Config) (uint64, error) {
+	cfg.Fault, cfg.Listener = nil, nil
+	st, err := Unmonitored(prog, cfg)
+	if err != nil {
+		return 0, err
+	}
+	return max(st.TotalCycles/4001, 101) | 1, nil
 }

@@ -1,4 +1,4 @@
-package serve
+package blame_test
 
 import (
 	"reflect"
@@ -8,15 +8,13 @@ import (
 	"repro/internal/blame"
 	"repro/internal/compile"
 	"repro/internal/ir"
+	"repro/internal/serve"
 	"repro/internal/vm"
 )
 
-// resetCalibrations empties the process-wide unmonitored-run memo.
-func resetCalibrations() { unmonitored.Reset() }
-
 func compileBench(t *testing.T, name string) *ir.Program {
 	t.Helper()
-	src, progName, err := ResolveBench(name)
+	src, progName, err := serve.ResolveBench(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +30,7 @@ func compileBench(t *testing.T, name string) *ir.Program {
 var calibrationKeyExcludes = map[string]string{
 	"Stdout":   "calibration output is discarded",
 	"Listener": "a run with a listener is not memoized",
-	"Fault":    "Profile attaches the injector after calibrating; a run with one is not memoized",
+	"Fault":    "Profile calibrates without the injector; a run with one is not memoized",
 	"Cancel":   "a cancelled run returns an error, and errors are not memoized",
 }
 
@@ -81,8 +79,8 @@ func mutateLeaf(v reflect.Value) bool {
 // field fails here until it is classified.
 func TestCalibrationKeyCoversConfig(t *testing.T) {
 	prog := compileBench(t, "fig1")
-	base := (&Request{}).VMConfig(prog)
-	baseKey := newCalibrationKey(prog, &base)
+	base := (&serve.Request{}).VMConfig(prog)
+	baseKey := blame.CalibrationKey(prog, &base)
 	ct := reflect.TypeOf(vm.Config{})
 	for name, reason := range calibrationKeyExcludes {
 		if _, ok := ct.FieldByName(name); !ok || reason == "" {
@@ -112,7 +110,7 @@ func TestCalibrationKeyCoversConfig(t *testing.T) {
 				t.Errorf("vm.Config.%s: unclassified field of kind %s; key it or exclude it", name, leaf.Kind())
 				continue
 			}
-			if newCalibrationKey(prog, &cfg) == baseKey {
+			if blame.CalibrationKey(prog, &cfg) == baseKey {
 				t.Errorf("vm.Config.%s is not in the calibration key; add it to calibrationKey or to calibrationKeyExcludes with a reason", name)
 			}
 		}
@@ -121,7 +119,7 @@ func TestCalibrationKeyCoversConfig(t *testing.T) {
 	a, b := base, base
 	a.Configs = map[string]string{"n": "3", "m": "4"}
 	b.Configs = map[string]string{"m": "4", "n": "3"}
-	if newCalibrationKey(prog, &a) != newCalibrationKey(prog, &b) {
+	if blame.CalibrationKey(prog, &a) != blame.CalibrationKey(prog, &b) {
 		t.Error("equal Configs maps give different keys")
 	}
 }
@@ -130,25 +128,25 @@ func TestCalibrationKeyCoversConfig(t *testing.T) {
 // run is rendered share one calibration run; requests whose run shape
 // differs each calibrate.
 func TestCalibrationSharedPerRunShape(t *testing.T) {
-	resetCalibrations()
-	runs := func(reqs ...Request) int64 {
+	blame.ResetUnmonitored()
+	runs := func(reqs ...serve.Request) int64 {
 		t.Helper()
-		before := calibrationRuns.Load()
+		before := blame.CalibrationRuns.Load()
 		for _, r := range reqs {
 			if err := r.Normalize(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Execute(&r, nil); err != nil {
+			if _, err := serve.Execute(&r, nil); err != nil {
 				t.Fatalf("%+v: %v", r, err)
 			}
 		}
-		return calibrationRuns.Load() - before
+		return blame.CalibrationRuns.Load() - before
 	}
-	base := Request{Bench: "fig1", Locales: 2}
+	base := serve.Request{Bench: "fig1", Locales: 2}
 	if n := runs(base); n != 1 {
 		t.Fatalf("cold request: %d calibration runs, want 1", n)
 	}
-	same := []Request{
+	same := []serve.Request{
 		{Bench: "fig1", Locales: 2, View: "code"},
 		{Bench: "fig1", Locales: 2, View: "hybrid", Limit: 3},
 		{Bench: "fig1", Locales: 2, View: "comm", Limit: -1},
@@ -157,7 +155,7 @@ func TestCalibrationSharedPerRunShape(t *testing.T) {
 	if n := runs(same...); n != 0 {
 		t.Fatalf("view/limit variants: %d calibration runs, want 0", n)
 	}
-	for _, r := range []Request{
+	for _, r := range []serve.Request{
 		{Bench: "fig1", Locales: 2, Configs: map[string]string{"n": "12"}},
 		{Bench: "fig1", Locales: 2, Cores: 4},
 		{Bench: "fig1", Locales: 3},
@@ -172,23 +170,23 @@ func TestCalibrationSharedPerRunShape(t *testing.T) {
 	}
 	// A run that carries a fault injector calibrates every time.
 	prog := compileBench(t, "fig1")
-	cfg := (&Request{Bench: "fig1", FaultSpec: "loss=0.1"}).VMConfig(prog)
-	cfg.Fault = (&Request{FaultSpec: "loss=0.1"}).Injector()
-	before := calibrationRuns.Load()
+	cfg := (&serve.Request{Bench: "fig1", FaultSpec: "loss=0.1"}).VMConfig(prog)
+	cfg.Fault = (&serve.Request{FaultSpec: "loss=0.1"}).Injector()
+	before := blame.CalibrationRuns.Load()
 	for i := 0; i < 2; i++ {
-		if _, err := Unmonitored(prog, cfg); err != nil {
+		if _, err := blame.Unmonitored(prog, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := calibrationRuns.Load() - before; n != 2 {
+	if n := blame.CalibrationRuns.Load() - before; n != 2 {
 		t.Fatalf("fault-injected calibrations: %d runs, want 2", n)
 	}
 	// A request with an explicit threshold neither reads nor fills the memo.
-	resetCalibrations()
-	if n := runs(Request{Bench: "fig1", Locales: 2, Threshold: 1001}); n != 0 {
+	blame.ResetUnmonitored()
+	if n := runs(serve.Request{Bench: "fig1", Locales: 2, Threshold: 1001}); n != 0 {
 		t.Fatalf("thresholded request: %d calibration runs, want 0", n)
 	}
-	if size := unmonitored.Len(); size != 0 {
+	if size := blame.UnmonitoredLen(); size != 0 {
 		t.Fatalf("thresholded request left %d memo entries", size)
 	}
 }
@@ -196,54 +194,54 @@ func TestCalibrationSharedPerRunShape(t *testing.T) {
 // TestCalibrationCancelledNotMemoized: a cancelled calibration returns its
 // error and leaves nothing behind; the next identical request calibrates.
 func TestCalibrationCancelledNotMemoized(t *testing.T) {
-	resetCalibrations()
+	blame.ResetUnmonitored()
 	prog := compileBench(t, "fig1")
-	req := &Request{Bench: "fig1"}
+	req := &serve.Request{Bench: "fig1"}
 	cfg := blame.DefaultConfig()
 	cfg.VM = req.VMConfig(prog)
 	cfg.Threshold = 0 // calibrate
 	var cancel atomic.Bool
 	cancel.Store(true)
 	cfg.VM.Cancel = &cancel
-	before := calibrationRuns.Load()
-	if _, err := Profile(prog, &cfg, nil, nil); err == nil || calibrationRuns.Load() != before+1 {
-		t.Fatalf("cancelled calibration: err %v after %d runs, want an error after 1", err, calibrationRuns.Load()-before)
+	before := blame.CalibrationRuns.Load()
+	if _, err := blame.Profile(prog, cfg); err == nil || blame.CalibrationRuns.Load() != before+1 {
+		t.Fatalf("cancelled calibration: err %v after %d runs, want an error after 1", err, blame.CalibrationRuns.Load()-before)
 	}
-	if n := unmonitored.Len(); n != 0 {
+	if n := blame.UnmonitoredLen(); n != 0 {
 		t.Fatalf("cancelled calibration was memoized (%d entries)", n)
 	}
-	before = calibrationRuns.Load()
+	before = blame.CalibrationRuns.Load()
 	for i := 0; i < 2; i++ {
 		cfg := blame.DefaultConfig()
 		cfg.VM = req.VMConfig(prog)
 		cfg.Threshold = 0
-		if _, err := Profile(prog, &cfg, nil, nil); err != nil {
+		if _, err := blame.Profile(prog, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := calibrationRuns.Load() - before; n != 1 {
+	if n := blame.CalibrationRuns.Load() - before; n != 1 {
 		t.Fatalf("%d calibration runs after a cancelled one, want 1", n)
 	}
 }
 
 // TestCalibrationFaultBytesColdWarm: a fault-injected request gives the
 // same bytes whether its calibration ran or came from the memo, because
-// the injector is attached only after calibration.
+// the calibration runs without the injector.
 func TestCalibrationFaultBytesColdWarm(t *testing.T) {
-	resetCalibrations()
-	req := Request{Bench: "halo", Locales: 4, CommAggregate: true, FaultSpec: "loss=0.05,dup=0.02", FaultSeed: 7}
-	exec := func() *Outcome {
+	blame.ResetUnmonitored()
+	req := serve.Request{Bench: "halo", Locales: 4, CommAggregate: true, FaultSpec: "loss=0.05,dup=0.02", FaultSeed: 7}
+	exec := func() *serve.Outcome {
 		r := req
-		out, err := Execute(&r, nil)
+		out, err := serve.Execute(&r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
-	before := calibrationRuns.Load()
+	before := blame.CalibrationRuns.Load()
 	cold := exec()
 	warm := exec()
-	if n := calibrationRuns.Load() - before; n != 1 {
+	if n := blame.CalibrationRuns.Load() - before; n != 1 {
 		t.Fatalf("%d calibration runs for a cold and a warm request, want 1", n)
 	}
 	if cold.Stats.Fault == nil || cold.Stats.Fault.DroppedMsgs == 0 {

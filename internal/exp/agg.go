@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/analyze"
 	"repro/internal/benchprog"
 	"repro/internal/blame"
 	"repro/internal/compile"
 	"repro/internal/postmortem"
-	"repro/internal/serve"
 	"repro/internal/vm"
 )
 
@@ -27,7 +27,7 @@ func TableAgg() (*Table, error) {
 	}
 
 	// The static side of the join: the comm-pattern findings per variable.
-	rep := analysisReport(res.Prog)
+	rep := analyze.Run(res.Prog)
 	predicted := make(map[string][]string)
 	for _, d := range rep.ByPass("comm-pattern") {
 		if d.Var == "" || strings.Contains(d.Message, "communication summary") {
@@ -56,16 +56,14 @@ func TableAgg() (*Table, error) {
 	}
 
 	run := func(aggregate, ownerComputes bool) (*postmortem.CommProfile, vm.Stats, string, error) {
-		var out strings.Builder
-		req := serve.Request{Configs: cfgs, Locales: 4, CommAggregate: aggregate, NoOwnerComputes: !ownerComputes}
-		bc := blame.DefaultConfig()
-		bc.VM = req.VMConfig(res.Prog)
-		bc.VM.Stdout = &out
-		r, err := blame.Profile(res.Prog, bc)
+		req := request(prog, cfgs)
+		req.Locales, req.CommAggregate, req.NoOwnerComputes = 4, aggregate, !ownerComputes
+		req.Threshold = blame.DefaultConfig().Threshold
+		r, out, err := profileReq(req)
 		if err != nil {
 			return nil, vm.Stats{}, "", err
 		}
-		return r.CommBlame(), r.Stats, out.String(), nil
+		return r.CommBlame(), r.Stats, out, nil
 	}
 	// The aggregation study keeps PR 2's spawn-locale scheduling so the
 	// before/after pair isolates the runtime transform; the owner-computes
@@ -139,7 +137,7 @@ func predictedBy(p benchprog.Program, passes ...string) string {
 	if err != nil {
 		return "-"
 	}
-	rep := analysisReport(res.Prog)
+	rep := analyze.Run(res.Prog)
 	var cites []string
 	for _, pass := range passes {
 		ds := rep.ByPass(pass)

@@ -134,7 +134,7 @@ func diffRunRow(w diffWorkload, spec *gobert.RunSpec, commName, faultName string
 		fmt.Sprint(len(diffs)), fmt.Sprint(st.CommMessages),
 		fmt.Sprintf("%.1f", float64(interp.WallNs)/1e6),
 		fmt.Sprintf("%.1f", float64(compiled.WallNs)/1e6),
-		fmt.Sprintf("%.2fx", float64(interp.WallNs)/float64(max64(1, uint64(compiled.WallNs)))),
+		fmt.Sprintf("%.2fx", float64(interp.WallNs)/float64(max(1, uint64(compiled.WallNs)))),
 	}, nil
 }
 
@@ -159,7 +159,7 @@ func diffOutcomeRow(w diffWorkload) ([]string, error) {
 		fmt.Sprint(len(diffs)), "-",
 		fmt.Sprintf("%.1f", float64(interp.WallNs)/1e6),
 		fmt.Sprintf("%.1f", float64(compiled.WallNs)/1e6),
-		fmt.Sprintf("%.2fx", float64(interp.WallNs)/float64(max64(1, uint64(compiled.WallNs)))),
+		fmt.Sprintf("%.2fx", float64(interp.WallNs)/float64(max(1, uint64(compiled.WallNs)))),
 	}, nil
 }
 
@@ -198,16 +198,9 @@ func BackendSpeedups() ([]BackendSpeedup, error) {
 			Name:      p.Name,
 			InterpMs:  float64(interp.WallNs) / 1e6,
 			GoMs:      float64(compiled.WallNs) / 1e6,
-			SpeedupX:  float64(interp.WallNs) / float64(max64(1, uint64(compiled.WallNs))),
+			SpeedupX:  float64(interp.WallNs) / float64(max(1, uint64(compiled.WallNs))),
 			Identical: len(diffs) == 0,
 		})
 	}
 	return out, nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,11 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/benchprog"
-	"repro/internal/compile"
-	"repro/internal/serve"
 	"repro/internal/vm"
 )
 
@@ -21,24 +18,10 @@ const chaosSeed = 42
 // messages and falls back when a locale fails); what moves is the fault
 // counters and the modeled wall time.
 func TableChaos() (*Table, error) {
-	prog := benchprog.Halo()
-	cfgs := benchprog.HaloConfig{N: 512, Reps: 6}.Configs()
-	res, err := prog.Compile(compile.Options{})
-	if err != nil {
-		return nil, err
-	}
-
 	run := func(spec string) (vm.Stats, string, error) {
-		var out strings.Builder
-		req := serve.Request{Configs: cfgs, Locales: 4, CommAggregate: true, FaultSpec: spec, FaultSeed: chaosSeed}
-		cfg := req.VMConfig(res.Prog)
-		cfg.Stdout = &out
-		cfg.Fault = req.Injector()
-		stats, err := vm.New(res.Prog, cfg).Run()
-		if err != nil {
-			return vm.Stats{}, "", err
-		}
-		return stats, out.String(), nil
+		req := request(benchprog.Halo(), benchprog.HaloConfig{N: 512, Reps: 6}.Configs())
+		req.Locales, req.CommAggregate, req.FaultSpec, req.FaultSeed = 4, true, spec, chaosSeed
+		return runPlain(req)
 	}
 
 	base, baseOut, err := run("")

@@ -13,8 +13,10 @@ import (
 	"repro/internal/benchprog"
 	"repro/internal/blame"
 	"repro/internal/compile"
+	"repro/internal/memo"
 	"repro/internal/postmortem"
 	"repro/internal/serve"
+	"repro/internal/vm"
 )
 
 // Table is a rendered experiment result.
@@ -72,7 +74,7 @@ func (t *Table) Cell(rowKey string, col int) (string, bool) {
 
 // timeProgram compiles and times one benchmark program: one unmonitored
 // run under the default experiment config (12 cores, 1 locale, 2.53 GHz
-// — the paper's testbed). The run is memoized by serve.Unmonitored, so
+// — the paper's testbed). The run is memoized by blame.Unmonitored, so
 // one run per (program, fast, configs) serves every table that needs it,
 // and the calibration of that program's profile too.
 func timeProgram(p benchprog.Program, fast bool, cfgs map[string]string) (float64, error) {
@@ -81,30 +83,67 @@ func timeProgram(p benchprog.Program, fast bool, cfgs map[string]string) (float6
 		return 0, err
 	}
 	cfg := (&serve.Request{Configs: cfgs}).VMConfig(res.Prog)
-	st, err := serve.Unmonitored(res.Prog, cfg)
+	st, err := blame.Unmonitored(res.Prog, cfg)
 	if err != nil {
 		return 0, err
 	}
 	return st.Seconds(), nil
 }
 
-// profileProgram runs the full blame pipeline on a benchmark with an
-// auto-scaled sampling threshold (the paper's fixed large prime assumes
-// multi-second runs; we target a few thousand samples). Results are
-// memoized per (program, configs): the *blame.Result (profile, analysis,
-// sampler) is read-only for every consumer, so the LULESH profile runs
-// once and feeds Fig4, Table6, Table8, the baseline and the overhead
-// tables.
+// request describes a run of benchmark p with config-const overrides
+// cfgs under the default experiment shape; callers set the rest.
+func request(p benchprog.Program, cfgs map[string]string) serve.Request {
+	return serve.Request{Name: p.Name + ".mchpl", Source: p.Source, Configs: cfgs}
+}
+
+// runPlain runs req's program once without sampling, under req's fault
+// injector, and returns the stats and the program's output.
+func runPlain(req serve.Request) (vm.Stats, string, error) {
+	res, err := compile.SourceCached(req.Name, req.Source, compile.Options{})
+	if err != nil {
+		return vm.Stats{}, "", err
+	}
+	var out strings.Builder
+	cfg := req.VMConfig(res.Prog)
+	cfg.Stdout = &out
+	cfg.Fault = req.Injector()
+	st, err := vm.New(res.Prog, cfg).Run()
+	return st, out.String(), err
+}
+
+// profileReq profiles req's program with blame.Profile (req.Threshold 0
+// calibrates) and returns the result and the program's output.
+func profileReq(req serve.Request) (*blame.Result, string, error) {
+	res, err := compile.SourceCached(req.Name, req.Source, compile.Options{})
+	if err != nil {
+		return nil, "", err
+	}
+	var out strings.Builder
+	cfg := blame.DefaultConfig()
+	cfg.VM = req.VMConfig(res.Prog)
+	cfg.VM.Stdout = &out
+	cfg.VM.Fault = req.Injector()
+	cfg.Threshold = req.Threshold
+	r, err := blame.Profile(res.Prog, cfg)
+	return r, out.String(), err
+}
+
+// profMemo holds profileProgram's results by request key. Every VM run
+// here is bit-reproducible (fixed scheduler, fixed cost model, no host
+// time) and a *blame.Result is read-only for every consumer, so the
+// LULESH profile runs once and feeds Fig4, Table6, Table8, the baseline
+// and the overhead tables, across the suite driver's goroutines too.
+var profMemo = memo.New[string, *blame.Result]("exp.profile")
+
+// profileProgram profiles a benchmark under the default experiment shape
+// with a calibrated sampling threshold (the paper's fixed large prime
+// assumes multi-second runs; calibration targets a few thousand
+// samples), once per (program, configs).
 func profileProgram(p benchprog.Program, cfgs map[string]string) (*blame.Result, error) {
-	return profMemo.Get(profKey{p.Name, cfgKey(cfgs)}, func() (*blame.Result, error) {
-		res, err := p.Compile(compile.Options{})
-		if err != nil {
-			return nil, err
-		}
-		bc := blame.DefaultConfig()
-		bc.VM = (&serve.Request{Configs: cfgs}).VMConfig(res.Prog)
-		bc.Threshold = 0 // auto-scale, as the CLI does
-		return serve.Profile(res.Prog, &bc, nil, nil)
+	req := request(p, cfgs)
+	return profMemo.Get(req.Key(), func() (*blame.Result, error) {
+		r, _, err := profileReq(req)
+		return r, err
 	})
 }
 

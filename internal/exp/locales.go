@@ -2,11 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/benchprog"
-	"repro/internal/compile"
-	"repro/internal/serve"
 	"repro/internal/vm"
 )
 
@@ -36,18 +33,10 @@ func TableLocales() (*Table, error) {
 	}
 
 	for _, c := range cases {
-		res, err := c.prog.Compile(compile.Options{})
-		if err != nil {
-			return nil, err
-		}
-
 		run := func(nl int, ownerComputes bool) (vm.Stats, string, error) {
-			var out strings.Builder
-			req := serve.Request{Configs: c.cfgs, Locales: nl, CommAggregate: true, NoOwnerComputes: !ownerComputes}
-			cfg := req.VMConfig(res.Prog)
-			cfg.Stdout = &out
-			stats, err := vm.New(res.Prog, cfg).Run()
-			return stats, out.String(), err
+			req := request(c.prog, c.cfgs)
+			req.Locales, req.CommAggregate, req.NoOwnerComputes = nl, true, !ownerComputes
+			return runPlain(req)
 		}
 
 		var refOut string

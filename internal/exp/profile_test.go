@@ -8,12 +8,12 @@ import (
 	"repro/internal/blame"
 )
 
-// TestProfiledShapeNoAlias pins the profKey audit: the profile memo is
-// keyed by (program, canonical config consts), the only run shape the
-// tables use. Distinct config maps get distinct entries, while an equal
-// map built separately hits the existing one.
+// TestProfiledShapeNoAlias pins the profile memo's key, the request's
+// Key over the program and its canonical config consts (the only run
+// shape profileProgram varies). Distinct config maps get distinct
+// entries, while an equal map built separately hits the existing one.
 func TestProfiledShapeNoAlias(t *testing.T) {
-	ResetMemos()
+	profMemo.Reset()
 	prog := benchprog.Halo()
 	cfgs := benchprog.HaloConfig{N: 64, Reps: 2}.Configs()
 
@@ -48,7 +48,7 @@ func TestProfiledShapeNoAlias(t *testing.T) {
 // key computes once, every caller of a key sees the same pointer, and
 // the two keys never alias one entry.
 func TestProfiledShapeConcurrent(t *testing.T) {
-	ResetMemos()
+	profMemo.Reset()
 	prog := benchprog.Halo()
 	cfgs := []map[string]string{
 		benchprog.HaloConfig{N: 64, Reps: 2}.Configs(),

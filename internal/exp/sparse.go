@@ -2,11 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/benchprog"
-	"repro/internal/compile"
-	"repro/internal/serve"
 	"repro/internal/vm"
 )
 
@@ -34,18 +31,10 @@ func TableSparse() (*Table, error) {
 	}
 
 	for _, c := range cases {
-		res, err := c.prog.Compile(compile.Options{})
-		if err != nil {
-			return nil, err
-		}
-
 		run := func(inspector bool) (vm.Stats, string, error) {
-			var out strings.Builder
-			req := serve.Request{Configs: c.cfgs, Locales: 4, CommAggregate: true, CommInspector: inspector}
-			cfg := req.VMConfig(res.Prog)
-			cfg.Stdout = &out
-			stats, err := vm.New(res.Prog, cfg).Run()
-			return stats, out.String(), err
+			req := request(c.prog, c.cfgs)
+			req.Locales, req.CommAggregate, req.CommInspector = 4, true, inspector
+			return runPlain(req)
 		}
 		base, bout, err := run(false)
 		if err != nil {

@@ -13,50 +13,51 @@ import (
 	"repro/internal/serve"
 )
 
-// staticCase is one benchmark of the static-accuracy study: the program,
-// its config-const overrides, and the run environment (locale count,
-// aggregation mode) shared by the dynamic profile and the prediction.
+// staticCase is one benchmark of the static-accuracy study: the program
+// and the run (config consts, locale count, comm mode) shared by the
+// dynamic profile and the prediction.
 type staticCase struct {
 	Prog benchprog.Program
-	Cfgs map[string]string
-	NL   int
-	Agg  bool
-	Insp bool
+	Req  serve.Request
 }
 
 // StaticCases returns the benchmarks the static cost engine is scored
 // on: the comm benchmarks at 4 locales (where message prediction is
 // checked against comm.Stats) — the two affine ones plus the two
 // irregular sparse ones under the inspector — and the three §V ports at
-// 1 locale (where only the blame ranking is checked).
+// 1 locale (where only the blame ranking is checked). Each is profiled
+// at blame.DefaultConfig's fixed threshold.
 func StaticCases() []staticCase {
+	mk := func(p benchprog.Program, cfgs map[string]string, locales int, agg, insp bool) staticCase {
+		req := request(p, cfgs)
+		req.Locales, req.CommAggregate, req.CommInspector = locales, agg, insp
+		req.Threshold = blame.DefaultConfig().Threshold
+		return staticCase{p, req}
+	}
 	return []staticCase{
-		{benchprog.Halo(), benchprog.DefaultHalo.Configs(), 4, true, false},
-		{benchprog.Wavefront(), benchprog.DefaultWavefront.Configs(), 4, true, false},
-		{benchprog.MiniMD(false), nil, 1, false, false},
-		{benchprog.CLOMP(false), nil, 1, false, false},
-		{benchprog.LULESH(benchprog.LuleshOriginal), nil, 1, false, false},
-		{benchprog.Gather(), benchprog.DefaultGather.Configs(), 4, true, true},
-		{benchprog.SpMV(), benchprog.DefaultSpMV.Configs(), 4, true, true},
+		mk(benchprog.Halo(), benchprog.DefaultHalo.Configs(), 4, true, false),
+		mk(benchprog.Wavefront(), benchprog.DefaultWavefront.Configs(), 4, true, false),
+		mk(benchprog.MiniMD(false), nil, 1, false, false),
+		mk(benchprog.CLOMP(false), nil, 1, false, false),
+		mk(benchprog.LULESH(benchprog.LuleshOriginal), nil, 1, false, false),
+		mk(benchprog.Gather(), benchprog.DefaultGather.Configs(), 4, true, true),
+		mk(benchprog.SpMV(), benchprog.DefaultSpMV.Configs(), 4, true, true),
 	}
 }
 
 // staticRun profiles one case dynamically and predicts it statically
 // under the same VM configuration.
 func staticRun(c staticCase) (*blame.Result, *cost.Prediction, error) {
+	r, _, err := profileReq(c.Req)
+	if err != nil {
+		return nil, nil, err
+	}
 	res, err := c.Prog.Compile(compile.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
-	req := serve.Request{Configs: c.Cfgs, Locales: c.NL, CommAggregate: c.Agg, CommInspector: c.Insp}
-	bc := blame.DefaultConfig()
-	bc.VM = req.VMConfig(res.Prog)
-	r, err := blame.Profile(res.Prog, bc)
-	if err != nil {
-		return nil, nil, err
-	}
 	opts := cost.DefaultOptions()
-	opts.VM = bc.VM
+	opts.VM = c.Req.VMConfig(res.Prog)
 	return r, cost.Predict(res.Prog, opts), nil
 }
 

@@ -438,10 +438,3 @@ func Fig3() (string, error) {
 	b.WriteString(views.Hybrid(r.Profile, 8))
 	return b.String(), nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

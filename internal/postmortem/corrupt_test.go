@@ -60,3 +60,31 @@ func TestJSONRoundTripKeepsDropped(t *testing.T) {
 		t.Errorf("Dropped = %d, want 3", got.Dropped)
 	}
 }
+
+// FuzzProfileJSON: ReadJSON never panics, and a profile it accepts
+// re-encodes (WriteJSON) to bytes that load again and re-encode to the
+// same bytes. Seeds: a real fig1 profile, a per-locale one, a truncated
+// one and one with negative samples.
+func FuzzProfileJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := postmortem.ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := p.WriteJSON(&first); err != nil {
+			t.Fatalf("accepted profile does not encode: %v", err)
+		}
+		q, err := postmortem.ReadJSON(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded profile does not load: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := q.WriteJSON(&second); err != nil {
+			t.Fatalf("reloaded profile does not encode: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("re-encoding is not stable:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}

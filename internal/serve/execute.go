@@ -13,9 +13,7 @@ import (
 	"repro/internal/blame"
 	"repro/internal/compile"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/hpctk"
-	"repro/internal/ir"
 	"repro/internal/sampler"
 	"repro/internal/views"
 	"repro/internal/vm"
@@ -50,9 +48,6 @@ type RunControl struct {
 	// Emit receives streaming events. It is called from the pipeline
 	// goroutine and must not block.
 	Emit func(Event)
-	// RankEvery is the sample interval between incremental blame-rank
-	// snapshots (0 = default 2000).
-	RankEvery int
 }
 
 func (c *RunControl) emit(ev Event) {
@@ -95,42 +90,12 @@ func (o *Outcome) sizeBytes() int64 {
 	return int64(len(o.Text) + len(o.ProfileJSON) + len(o.Output) + 512)
 }
 
-// Profile is the profiling sequence Execute and the experiment harness
-// share. With cfg.Threshold 0 it first calibrates: one unmonitored run,
-// then a threshold of TotalCycles/4001 (at least 101, forced odd), which
-// targets a few thousand samples where the paper's fixed large prime
-// assumes multi-second wall times. The calibration is memoized per
-// (program, run shape), so the views of one run pay for it once. Only
-// then is inj attached, so the calibration draws nothing from the fault
-// PRNG and the profiled run's fault schedule does not depend on whether
-// a threshold was given or the calibration came from the memo.
-// started, when non-nil, is called right before the profiled run.
-func Profile(prog *ir.Program, cfg *blame.Config, inj *fault.Injector, started func()) (*blame.Result, error) {
-	if cfg.Threshold == 0 {
-		st, err := Unmonitored(prog, cfg.VM)
-		if err != nil {
-			return nil, err
-		}
-		th := st.TotalCycles / 4001
-		if th < 101 {
-			th = 101
-		}
-		cfg.Threshold = th | 1 // odd, in the spirit of the paper's prime
-	}
-	cfg.VM.Fault = inj
-	if started != nil {
-		started()
-	}
-	return blame.Profile(prog, *cfg)
-}
-
 // Execute runs one normalized request through the full pipeline and
 // renders it. cmd/blame calls this with ctl == nil; the server calls it
 // from scheduler workers with cancellation, deadline and streaming
-// hooks attached. The logic — calibration before the fault injector is
-// armed, the view switch, per-locale rendering — matches the historical
-// CLI behaviour exactly, which is what the HTTP-vs-CLI golden test
-// pins.
+// hooks attached. Calibration and profiling are blame.Profile's; the
+// view switch and per-locale rendering match the historical CLI
+// behaviour exactly, which is what the HTTP-vs-CLI golden test pins.
 func Execute(req *Request, ctl *RunControl) (*Outcome, error) {
 	if req.View == "" { // allow callers that skipped Normalize
 		if err := req.Normalize(); err != nil {
@@ -175,15 +140,16 @@ func Execute(req *Request, ctl *RunControl) (*Outcome, error) {
 	if ctl != nil {
 		cfg.VM.Cancel = ctl.Cancel
 	}
+	// The static view and the lint advisor predict under the run's
+	// config; the skeleton run discards output and injects no faults.
+	costOpts := cost.DefaultOptions()
+	costOpts.VM = cfg.VM
+	costOpts.Core = cfg.Core
 
 	if req.View == "static" {
-		// Predict without executing anything: no calibration run, no
-		// profiled run.
+		// Predict without a calibration run or a profiled run.
 		ctl.emit(Event{Type: "phase", Phase: "predict"})
-		opts := cost.DefaultOptions()
-		opts.VM = cfg.VM
-		opts.Core = cfg.Core
-		pred := cost.Predict(res.Prog, opts)
+		pred := cost.Predict(res.Prog, costOpts)
 		text := views.Predicted(pred, lim)
 		if req.Lint {
 			text += "\n" + analyze.Run(res.Prog).Text()
@@ -196,21 +162,16 @@ func Execute(req *Request, ctl *RunControl) (*Outcome, error) {
 		ctl.emit(Event{Type: "phase", Phase: "calibrate"})
 	}
 	cfg.SampleBuffer = req.SampleBuffer
-	if ctl != nil && (ctl.Emit != nil) {
-		rankEvery := ctl.RankEvery
-		if rankEvery <= 0 {
-			rankEvery = 2000
-		}
+	cfg.VM.Fault = req.Injector()
+	if ctl != nil && ctl.Emit != nil {
 		emit := ctl.Emit
 		cfg.Wrap = func(smp *sampler.Sampler, analysis *core.Analysis) vm.Listener {
-			// Profile has settled cfg.Threshold by the time it wraps.
-			return newMonitor(res.Prog, analysis, smp, cfg.Threshold, rankEvery, emit)
+			emit(Event{Type: "phase", Phase: "run"})
+			return newMonitor(res.Prog, analysis, smp, emit)
 		}
 	}
 
-	r, err := Profile(res.Prog, &cfg, req.Injector(), func() {
-		ctl.emit(Event{Type: "phase", Phase: "run"})
-	})
+	r, err := blame.Profile(res.Prog, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -222,10 +183,7 @@ func Execute(req *Request, ctl *RunControl) (*Outcome, error) {
 		rep := analyze.Run(res.Prog)
 		text.WriteString(rep.Text())
 		text.WriteString("\n")
-		opts := cost.DefaultOptions()
-		opts.VM = cfg.VM
-		opts.Core = cfg.Core
-		text.WriteString(views.Advisor(prof, rep, cost.Predict(res.Prog, opts), lim))
+		text.WriteString(views.Advisor(prof, rep, cost.Predict(res.Prog, costOpts), lim))
 	} else {
 		switch req.View {
 		case "data":
@@ -273,7 +231,7 @@ func Execute(req *Request, ctl *RunControl) (*Outcome, error) {
 		ProfileJSON: profJSON.Bytes(),
 		Output:      progOut.String(),
 		Stats:       r.Stats,
-		Threshold:   cfg.Threshold,
+		Threshold:   prof.Threshold,
 		Samples:     prof.TotalSamples,
 	}, nil
 }

@@ -25,7 +25,7 @@ func TestMemosBounded(t *testing.T) {
 		}
 	}
 	sizes := memo.Sizes()
-	for _, name := range []string{"compile", "core", "vm.cost", "serve.unmonitored"} {
+	for _, name := range []string{"compile", "core", "vm.cost", "blame.unmonitored"} {
 		if n, ok := sizes[name]; !ok || n != memo.Max {
 			t.Errorf("memo %q holds %d entries (registered %v), want it filled to the bound %d", name, n, ok, memo.Max)
 		}

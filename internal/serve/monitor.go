@@ -24,12 +24,10 @@ import (
 // one goroutine and the monitor needs no locking of its own; emit must
 // be non-blocking (the session fan-out drops events on slow consumers).
 type monitor struct {
-	prog      *ir.Program
-	analysis  *core.Analysis
-	smp       *sampler.Sampler
-	threshold uint64
-	rankEvery int
-	emit      func(Event)
+	prog     *ir.Program
+	analysis *core.Analysis
+	smp      *sampler.Sampler
+	emit     func(Event)
 
 	cycles       uint64
 	nextProgress uint64
@@ -41,13 +39,16 @@ type monitor struct {
 // for tens of events on the multi-second simulated runs.
 const progressEvery = 10_000_000
 
-// rankTop is how many rows an incremental ranking carries.
-const rankTop = 5
+// rankEvery is the sample interval between incremental rankings, and
+// rankTop how many rows one carries.
+const (
+	rankEvery = 2000
+	rankTop   = 5
+)
 
-func newMonitor(prog *ir.Program, analysis *core.Analysis, smp *sampler.Sampler, threshold uint64, rankEvery int, emit func(Event)) *monitor {
+func newMonitor(prog *ir.Program, analysis *core.Analysis, smp *sampler.Sampler, emit func(Event)) *monitor {
 	return &monitor{
-		prog: prog, analysis: analysis, smp: smp,
-		threshold: threshold, rankEvery: rankEvery, emit: emit,
+		prog: prog, analysis: analysis, smp: smp, emit: emit,
 		nextProgress: progressEvery, nextRank: rankEvery,
 	}
 }
@@ -63,7 +64,7 @@ func (m *monitor) tick(cycles uint64) {
 	if n := len(m.smp.Samples); n >= m.nextRank {
 		m.snapshotRanks(n)
 		for m.nextRank <= n {
-			m.nextRank += m.rankEvery
+			m.nextRank += rankEvery
 		}
 	}
 }
@@ -78,7 +79,7 @@ func (m *monitor) snapshotRanks(n int) {
 	for tag, rec := range m.smp.Spawns {
 		spawns[tag] = rec
 	}
-	prof := postmortem.New(m.prog, m.analysis, spawns).Process(samples, m.threshold, vm.Stats{})
+	prof := postmortem.New(m.prog, m.analysis, spawns).Process(samples, m.smp.Threshold(), vm.Stats{})
 	rows := prof.DataCentric
 	if len(rows) > rankTop {
 		rows = rows[:rankTop]

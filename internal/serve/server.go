@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,9 +37,6 @@ type Options struct {
 	// DefaultDeadline applies to submissions that set no deadline_ms
 	// (0 = none).
 	DefaultDeadline time.Duration
-	// RankEvery is the sample interval for incremental blame-rank
-	// streaming (0 = 2000).
-	RankEvery int
 	// Run substitutes the pipeline execution function (nil = Execute).
 	Run RunFunc
 	// MaxQueue bounds distinct queued jobs; beyond it new submissions
@@ -105,10 +101,7 @@ func New(opts Options) *Server {
 			s.journal = j
 		}
 	}
-	s.sched = NewScheduler(opts.Workers, func(req *Request, ctl *RunControl) (*Outcome, error) {
-		ctl.RankEvery = opts.RankEvery
-		return run(req, ctl)
-	})
+	s.sched = NewScheduler(opts.Workers, run)
 	s.sched.SetMaxQueue(opts.MaxQueue)
 	s.sched.onDone = func(j *job, out *Outcome, err error, wall time.Duration) {
 		s.metrics.Executed(wall)
@@ -334,9 +327,8 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request, endpoint 
 func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	s.metrics.IncRequest("sessions")
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
+	ids := append([]string(nil), s.order...) // registration order, oldest first
 	s.mu.Unlock()
-	sort.Strings(ids)
 	out := make([]Status, 0, len(ids))
 	for _, id := range ids {
 		if sess := s.session(id); sess != nil {

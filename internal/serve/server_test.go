@@ -379,3 +379,30 @@ func TestCancelEndpointMidRun(t *testing.T) {
 	}
 	_ = vm.ErrCancelled // the VM-level abort is asserted in TestExecuteCancelMidRun
 }
+
+// TestSessionsListedInRegistrationOrder: GET /v1/sessions lists sessions
+// oldest first, also once IDs outgrow the six zero-padded digits of
+// "s-%06d" and no longer sort as strings.
+func TestSessionsListedInRegistrationOrder(t *testing.T) {
+	srv, ts := testServer(t)
+	req := &Request{Bench: "fig1"}
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	srv.nextID = 999_998
+	srv.mu.Unlock()
+	var want []string
+	for i := 0; i < 3; i++ {
+		sess := newSession("", req)
+		srv.register(sess)
+		want = append(want, sess.ID)
+	}
+	var got []string
+	for _, st := range decode[[]Status](t, mustGet(t, ts.URL+"/v1/sessions")) {
+		got = append(got, st.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("listed %v, want registration order %v", got, want)
+	}
+}
