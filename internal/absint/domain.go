@@ -72,14 +72,10 @@ type IntDomain struct {
 	RebindsParam func(callee *ir.Func, i int) bool
 }
 
-func (d *IntDomain) mayRebind(callee *ir.Func, i int) bool {
-	if callee == nil {
-		return true
-	}
-	if d.RebindsParam == nil {
-		return true
-	}
-	return d.RebindsParam(callee, i)
+// mayRebind reports whether the body bd binds may rebind its k-th
+// non-index formal.
+func (d *IntDomain) mayRebind(bd ir.Binding, k int) bool {
+	return d.RebindsParam == nil || d.RebindsParam(bd.Callee, len(bd.Idx)+k)
 }
 
 // Entry seeds parameters, globals and pins.
@@ -231,37 +227,21 @@ func (d *IntDomain) Transfer(s *Env, in *ir.Instr) *Env {
 		// Intraprocedural: the return value is unknown, and arguments
 		// bound to ref parameters may be written by the callee.
 		set(Top())
-		if in.Callee != nil {
-			for i, p := range in.Callee.Params {
-				if p.IsRef && i < len(in.Args) && d.mayRebind(in.Callee, i) {
-					s.Set(in.Args[i], Top())
+		for _, bd := range in.Bindings() {
+			for k, p := range bd.Formals {
+				if p.IsRef && d.mayRebind(bd, k) {
+					s.Set(bd.Actuals[k], Top())
 				}
 			}
 		}
 
 	case ir.OpSpawn:
 		// Task bodies capture outer vars by reference; clobber the
-		// captures the body (or anything it calls) may rebind. Index
-		// parameters precede captures in the body's signature.
-		havoc := func(body *ir.Func, args []*ir.Var, off int) {
-			for j, a := range args {
-				if d.mayRebind(body, off+j) {
+		// captures the body (or anything it calls) may rebind.
+		for _, bd := range in.Bindings() {
+			for k, a := range bd.Actuals {
+				if d.mayRebind(bd, k) {
 					s.Set(a, Top())
-				}
-			}
-		}
-		off := 0
-		if in.Spawn != nil {
-			switch in.Spawn.Kind {
-			case ir.SpawnForall, ir.SpawnCoforall:
-				off = in.Spawn.NumIdx
-			}
-		}
-		havoc(in.Callee, in.Args, off)
-		if in.Spawn != nil {
-			for k, bf := range in.Spawn.Extra {
-				if k < len(in.Spawn.ExtraArgs) {
-					havoc(bf, in.Spawn.ExtraArgs[k], 0)
 				}
 			}
 		}
@@ -620,7 +600,7 @@ func (d *IntDomain) Refine(s *Env, in *ir.Instr, taken bool) *Env {
 	if s.Dead || in.A == nil {
 		return s
 	}
-	def := defInBlock(in.Block, in.A, in)
+	def := in.Block.DefBefore(in.A, in)
 	cv := s.Get(in.A)
 	if cv.Kind == VBool && !d.pinnedCmp(def) {
 		if (cv.B == BTrue && !taken) || (cv.B == BFalse && taken) {
@@ -718,21 +698,4 @@ func negateCmp(op token.Kind) token.Kind {
 		return token.EQ
 	}
 	return op
-}
-
-// defInBlock finds the defining instruction of v within b before stop.
-func defInBlock(b *ir.Block, v *ir.Var, stop *ir.Instr) *ir.Instr {
-	if b == nil {
-		return nil
-	}
-	var def *ir.Instr
-	for _, in := range b.Instrs {
-		if in == stop {
-			break
-		}
-		if in.Def() == v {
-			def = in
-		}
-	}
-	return def
 }

@@ -126,13 +126,8 @@ func NewContext(prog *ir.Program) *Context {
 				if in.Op != ir.OpSpawn {
 					continue
 				}
-				if in.Callee != nil {
-					ctx.spawnOf[in.Callee] = in
-				}
-				if in.Spawn != nil {
-					for _, extra := range in.Spawn.Extra {
-						ctx.spawnOf[extra] = in
-					}
+				for _, body := range in.Callees() {
+					ctx.spawnOf[body] = in
 				}
 			}
 		}
@@ -338,15 +333,12 @@ func (ctx *Context) rootBase(f *ir.Func, v *ir.Var) *ir.Var {
 			v = in.A
 			continue
 		}
-		// Class handles propagate through copies and element/field reads
-		// (reference semantics: the copy names the same instance).
-		if v.Type != nil && v.Type.Kind() == types.Class {
-			if ds := defs[v]; len(ds) == 1 && ds[0].A != nil && ds[0].A != v {
-				switch ds[0].Op {
-				case ir.OpMove, ir.OpIndex, ir.OpField, ir.OpTupleGet:
-					v = ds[0].A
-					continue
-				}
+		// A class handle's only direct def may still alias: a copy or
+		// element/field read names the same instance.
+		if ds := defs[v]; len(ds) == 1 {
+			if base := ds[0].AliasBase(); base != nil && base != v {
+				v = base
+				continue
 			}
 		}
 		break

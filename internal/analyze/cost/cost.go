@@ -267,12 +267,12 @@ func (p *predictor) instrMass(f *ir.Func, in *ir.Instr) float64 {
 		base += sc(float64(n) * float64(ew) * float64(c.AllocPerEl))
 	case ir.OpCall:
 		// By-value composite arguments copy in.
-		if in.Callee != nil {
-			for i, prm := range in.Callee.Params {
-				if prm.IsRef || i >= len(in.Args) {
+		for _, bd := range in.Bindings() {
+			for i, prm := range bd.Formals {
+				if prm.IsRef {
 					continue
 				}
-				if n := p.bulkSize(f, in, in.Args[i]); n > 1 {
+				if n := p.bulkSize(f, in, bd.Actuals[i]); n > 1 {
 					base += sc(float64(n-1) * float64(c.PerElem))
 				}
 			}
@@ -332,8 +332,7 @@ func (p *predictor) spawnExtra(f *ir.Func, in *ir.Instr) float64 {
 	case ir.SpawnOn:
 		return float64(c.SpawnPerTask) + float64(c.CommLatency) + float64(c.Barrier)
 	case ir.SpawnCobegin:
-		bodies := 1 + len(sp.Extra)
-		return float64(bodies)*float64(c.SpawnPerTask) + float64(c.Barrier)
+		return float64(len(in.Callees()))*float64(c.SpawnPerTask) + float64(c.Barrier)
 	}
 	// forall / coforall.
 	space := p.spawnSpace(in)

@@ -108,39 +108,18 @@ func (p *predictor) paramRebinds() map[*ir.Func]uint64 {
 	// Transitive closure over ref argument passing.
 	for changed := true; changed; {
 		changed = false
-		prop := func(f *ir.Func, callee *ir.Func, args []*ir.Var, off int) {
-			for j, a := range args {
-				k := off + j
-				if k >= 64 || bits[callee]&(1<<k) == 0 {
-					continue
-				}
-				if i := paramIx(f, a); i >= 0 && i < 64 && bits[f]&(1<<i) == 0 {
-					bits[f] |= 1 << i
-					changed = true
-				}
-			}
-		}
 		for _, f := range p.prog.Funcs {
 			for _, b := range f.Blocks {
 				for _, in := range b.Instrs {
-					switch in.Op {
-					case ir.OpCall:
-						if in.Callee != nil {
-							prop(f, in.Callee, in.Args, 0)
-						}
-					case ir.OpSpawn:
-						if in.Callee == nil || in.Spawn == nil {
-							continue
-						}
-						off := 0
-						switch in.Spawn.Kind {
-						case ir.SpawnForall, ir.SpawnCoforall:
-							off = in.Spawn.NumIdx
-						}
-						prop(f, in.Callee, in.Args, off)
-						for k, bf := range in.Spawn.Extra {
-							if k < len(in.Spawn.ExtraArgs) {
-								prop(f, bf, in.Spawn.ExtraArgs[k], 0)
+					for _, bd := range in.Bindings() {
+						for j, a := range bd.Actuals {
+							k := len(bd.Idx) + j
+							if k >= 64 || bits[bd.Callee]&(1<<k) == 0 {
+								continue
+							}
+							if i := paramIx(f, a); i >= 0 && i < 64 && bits[f]&(1<<i) == 0 {
+								bits[f] |= 1 << i
+								changed = true
 							}
 						}
 					}
@@ -250,16 +229,15 @@ func (p *predictor) analyzeFunc(f *ir.Func) {
 // to symbols ranging over the spawn's abstract iteration space.
 func (p *predictor) pinIndexParams(f *ir.Func) {
 	sp := p.actx.SpawnSite(f)
-	if sp == nil || sp.Spawn == nil {
+	if sp == nil {
 		return
 	}
-	numIdx := sp.Spawn.NumIdx
-	if numIdx <= 0 || sp.Spawn.Kind == ir.SpawnBegin || sp.Spawn.Kind == ir.SpawnOn {
+	idx := sp.BindingOf(f).Idx
+	if len(idx) == 0 {
 		return
 	}
 	space := p.spawnSpace(sp)
-	for i := 0; i < numIdx && i < len(f.Params); i++ {
-		prm := f.Params[i]
+	for i, prm := range idx {
 		rng := absint.TopInterval()
 		if dims, ok := space.Space(); ok && i < len(dims) {
 			rng = absint.MakeInterval(dims[i].Lo.Rng.Lo, dims[i].Hi.Rng.Hi)
@@ -347,7 +325,7 @@ func (p *predictor) countedLoop(f *ir.Func, l *cfg.Loop, r *absint.Result) (iv *
 	if term == nil || term.Op != ir.OpBr || term.A == nil {
 		return nil, lo, hi, 0, false
 	}
-	def := defIn(head, term.A, term)
+	def := head.DefBefore(term.A, term)
 	if def == nil || def.Op != ir.OpBin {
 		return nil, lo, hi, 0, false
 	}
@@ -371,7 +349,7 @@ func (p *predictor) countedLoop(f *ir.Func, l *cfg.Loop, r *absint.Result) (iv *
 			}
 			src := in
 			if in.Op == ir.OpMove {
-				if up := defIn(b, in.A, in); up != nil {
+				if up := b.DefBefore(in.A, in); up != nil {
 					src = up
 				}
 			}
@@ -440,19 +418,6 @@ func (p *predictor) countedLoop(f *ir.Func, l *cfg.Loop, r *absint.Result) (iv *
 func joinNum(a, b absint.NumVal) absint.NumVal {
 	av, bv := absint.NumV(a), absint.NumV(b)
 	return av.Join(bv).AsNum()
-}
-
-func defIn(b *ir.Block, v *ir.Var, stop *ir.Instr) *ir.Instr {
-	var def *ir.Instr
-	for _, in := range b.Instrs {
-		if in == stop {
-			break
-		}
-		if in.Def() == v {
-			def = in
-		}
-	}
-	return def
 }
 
 func (p *predictor) setMid(v *ir.Var, rng absint.Interval) {
@@ -547,17 +512,13 @@ func (p *predictor) discover() {
 			// Propagate arguments to callees.
 			for _, b := range f.Blocks {
 				for _, in := range b.Instrs {
-					callees := in.Callees()
-					if len(callees) == 0 {
-						continue
-					}
-					for ci, callee := range callees {
-						if p.seedCall(f, in, callee, ci) {
+					for _, bd := range in.Bindings() {
+						if p.seedCall(f, in, bd) {
 							changed = true
 						}
-						if !seen[callee] {
-							seen[callee] = true
-							queue = append(queue, callee)
+						if !seen[bd.Callee] {
+							seen[bd.Callee] = true
+							queue = append(queue, bd.Callee)
 						}
 					}
 				}
@@ -570,8 +531,9 @@ func (p *predictor) discover() {
 }
 
 // seedCall joins the abstract arguments at one call/spawn site into the
-// callee's parameter seeds. Reports change.
-func (p *predictor) seedCall(f *ir.Func, in *ir.Instr, callee *ir.Func, bodyIx int) bool {
+// parameter seeds of one body it binds (index formals are pinned
+// separately). Reports change.
+func (p *predictor) seedCall(f *ir.Func, in *ir.Instr, bd ir.Binding) bool {
 	r := p.res[f]
 	if r == nil {
 		return false
@@ -580,33 +542,15 @@ func (p *predictor) seedCall(f *ir.Func, in *ir.Instr, callee *ir.Func, bodyIx i
 	if !ok {
 		return false
 	}
-	if p.seeds[callee] == nil {
-		p.seeds[callee] = make(map[*ir.Var]absint.Val)
-	}
-	args := in.Args
-	params := callee.Params
-	if in.Op == ir.OpSpawn && in.Spawn != nil {
-		if bodyIx > 0 && bodyIx-1 < len(in.Spawn.ExtraArgs) {
-			args = in.Spawn.ExtraArgs[bodyIx-1]
-		}
-		// Index params are pinned separately; captures line up after them.
-		numIdx := in.Spawn.NumIdx
-		if in.Spawn.Kind == ir.SpawnBegin || in.Spawn.Kind == ir.SpawnOn || in.Spawn.Kind == ir.SpawnCobegin {
-			numIdx = 0
-		}
-		if numIdx < len(params) {
-			params = params[numIdx:]
-		} else {
-			params = nil
-		}
+	seeds := p.seeds[bd.Callee]
+	if seeds == nil {
+		seeds = make(map[*ir.Var]absint.Val)
+		p.seeds[bd.Callee] = seeds
 	}
 	changed := false
-	for i, prm := range params {
-		if i >= len(args) {
-			break
-		}
-		av := env.Get(args[i])
-		old, have := p.seeds[callee][prm]
+	for i, prm := range bd.Formals {
+		av := env.Get(bd.Actuals[i])
+		old, have := seeds[prm]
 		var nv absint.Val
 		if !have {
 			nv = av
@@ -614,7 +558,7 @@ func (p *predictor) seedCall(f *ir.Func, in *ir.Instr, callee *ir.Func, bodyIx i
 			nv = old.Join(av)
 		}
 		if !have || !nv.Equal(old) {
-			p.seeds[callee][prm] = nv
+			seeds[prm] = nv
 			changed = true
 		}
 	}
@@ -771,7 +715,7 @@ func (p *predictor) branchProb(r *absint.Result, br *ir.Instr, side bool) float6
 	case absint.BFalse:
 		pTrue = 0
 	default:
-		if def := defIn(br.Block, br.A, br); def != nil && def.Op == ir.OpBin {
+		if def := br.Block.DefBefore(br.A, br); def != nil && def.Op == ir.OpBin {
 			a := env.Get(def.A).AsNum()
 			b2 := env.Get(def.B).AsNum()
 			pTrue = cmpProb(def.BinOp, a, b2)

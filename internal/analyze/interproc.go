@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ir"
 	"repro/internal/source"
-	"repro/internal/types"
 )
 
 // Interprocedural write summaries (ROADMAP open item: trace writes to
@@ -88,11 +87,10 @@ func (ctx *Context) interprocWrites() map[*ir.Func][]gWrite {
 					}
 					for _, gw := range sums[in.Callee] {
 						var mapped uint64
-						for j := 0; j < len(in.Callee.Params) && j < 64; j++ {
-							if gw.guards&(1<<uint(j)) == 0 || j >= len(in.Args) {
-								continue
+						for j, a := range in.BindingOf(in.Callee).Actuals {
+							if j < 64 && gw.guards&(1<<uint(j)) != 0 {
+								mapped |= bits[f][a]
 							}
-							mapped |= bits[f][in.Args[j]]
 						}
 						via := in.Callee.Name
 						if gw.via != "" {
@@ -164,16 +162,13 @@ func (ctx *Context) paramDeriv(f *ir.Func) (bitsOf, selOf map[*ir.Var]uint64) {
 					}
 					// Class-handle copies name the same instance, so the
 					// selection travels with the handle (cf. rootBase).
-					if in.Dst != nil && in.Dst.Type != nil && in.Dst.Type.Kind() == types.Class {
-						switch in.Op {
-						case ir.OpMove, ir.OpIndex, ir.OpField, ir.OpTupleGet:
-							s := selOf[in.A]
-							for _, a := range in.Args {
-								s |= bitsOf[a]
-							}
-							if merge(selOf, in.Dst, s) {
-								changed = true
-							}
+					if base := in.AliasBase(); base != nil {
+						s := selOf[base]
+						for _, a := range in.Args {
+							s |= bitsOf[a]
+						}
+						if merge(selOf, in.Dst, s) {
+							changed = true
 						}
 					}
 				}

@@ -34,17 +34,7 @@ func buildLoopInfo(f *ir.Func) *loopInfo {
 // resolve to integer constants. Loops whose bounds come from config
 // constants, domain queries, or arithmetic do not qualify.
 func (ctx *Context) constTrip(f *ir.Func, l *cfg.Loop) (int64, *ir.Var, bool) {
-	term := l.Head.Terminator()
-	if term == nil || term.Op != ir.OpBr || term.A == nil {
-		return 0, nil, false
-	}
-	// The condition must be `iv <= hi` computed in the header.
-	var cond *ir.Instr
-	for _, in := range l.Head.Instrs {
-		if in.Dst == term.A && in.Op == ir.OpBin && in.BinOp == token.LE {
-			cond = in
-		}
-	}
+	cond := headCond(l)
 	if cond == nil || cond.A == nil || cond.B == nil {
 		return 0, nil, false
 	}
@@ -86,6 +76,22 @@ func (ctx *Context) constTrip(f *ir.Func, l *cfg.Loop) (int64, *ir.Var, bool) {
 	return hi - lo + 1, iv, true
 }
 
+// headCond returns the header's `iv <= hi` comparison that feeds l's
+// exit branch, or nil when the header does not end in one.
+func headCond(l *cfg.Loop) *ir.Instr {
+	term := l.Head.Terminator()
+	if term == nil || term.Op != ir.OpBr || term.A == nil {
+		return nil
+	}
+	var cond *ir.Instr
+	for _, in := range l.Head.Instrs {
+		if in.Dst == term.A && in.Op == ir.OpBin && in.BinOp == token.LE {
+			cond = in
+		}
+	}
+	return cond
+}
+
 func singleDef(defs map[*ir.Var][]*ir.Instr, v *ir.Var) *ir.Instr {
 	if v == nil {
 		return nil
@@ -100,16 +106,7 @@ func singleDef(defs map[*ir.Var][]*ir.Instr, v *ir.Var) *ir.Instr {
 // header condition's bounds were produced by low/high (or dimlow/dimhigh)
 // queries on one domain or array variable, that variable is returned.
 func (ctx *Context) serialLoopIter(f *ir.Func, l *cfg.Loop) (iv, iter *ir.Var) {
-	term := l.Head.Terminator()
-	if term == nil || term.Op != ir.OpBr || term.A == nil {
-		return nil, nil
-	}
-	var cond *ir.Instr
-	for _, in := range l.Head.Instrs {
-		if in.Dst == term.A && in.Op == ir.OpBin && in.BinOp == token.LE {
-			cond = in
-		}
-	}
+	cond := headCond(l)
 	if cond == nil {
 		return nil, nil
 	}

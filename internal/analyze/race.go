@@ -23,7 +23,7 @@ func (RacePass) RunFunc(ctx *Context, f *ir.Func) []Diag {
 	if !ok {
 		return nil
 	}
-	nidx := sp.Spawn.NumIdx
+	nidx := len(sp.BindingOf(f).Idx)
 	ti := ctx.bodyTaint(f)
 	paramIx := make(map[*ir.Var]int, len(f.Params))
 	for i, p := range f.Params {
@@ -75,12 +75,10 @@ func (RacePass) RunFunc(ctx *Context, f *ir.Func) []Diag {
 				if in.Callee == nil {
 					continue
 				}
-				for k, p := range in.Callee.Params {
-					if !p.IsRef || k >= len(in.Args) {
-						continue
-					}
-					arg := in.Args[k]
-					if !ctx.Analysis.CalleeWritesParam(in.Callee, p) {
+				bd := in.BindingOf(in.Callee)
+				for k, p := range bd.Formals {
+					arg := bd.Actuals[k]
+					if !p.IsRef || !ctx.Analysis.CalleeWritesParam(in.Callee, p) {
 						continue
 					}
 					if ti.partRef[arg] || ti.tainted[arg] {
@@ -99,11 +97,8 @@ func (RacePass) RunFunc(ctx *Context, f *ir.Func) []Diag {
 						continue
 					}
 					partitioned := false
-					for j := 0; j < len(in.Callee.Params) && j < 64 && j < len(in.Args); j++ {
-						if gw.guards&(1<<uint(j)) == 0 {
-							continue
-						}
-						if ti.tainted[in.Args[j]] || ti.partRef[in.Args[j]] {
+					for j, a := range bd.Actuals {
+						if j < 64 && gw.guards&(1<<uint(j)) != 0 && (ti.tainted[a] || ti.partRef[a]) {
 							partitioned = true
 							break
 						}

@@ -47,9 +47,9 @@ func (ctx *Context) bodyTaint(f *ir.Func) *taintInfo {
 	if !ok {
 		return ti
 	}
-	for i := 0; i < sp.Spawn.NumIdx && i < len(f.Params); i++ {
-		ti.direct[f.Params[i]] = true
-		ti.tainted[f.Params[i]] = true
+	for _, p := range sp.BindingOf(f).Idx {
+		ti.direct[p] = true
+		ti.tainted[p] = true
 	}
 	seedTaint(f, ti)
 	return ti

@@ -291,3 +291,19 @@ proc main() {
 }
 
 var _ = postmortem.Profile{}
+
+// TestCobeginEveryBodyBlamed profiles a two-body cobegin: the variable
+// only the second body writes must reach the data-centric view too, so
+// call-site blame binds every body's actuals, not just the first's.
+func TestCobeginEveryBodyBlamed(t *testing.T) {
+	prof := profileSrc(t, `
+proc main() { var x = 0; var y = 0;
+  cobegin { for i in 1..200000 { x = x + i; }  for j in 1..200000 { y = y + j; } }
+  writeln(x + y); }
+`).Profile
+	for _, name := range []string{"x", "y"} {
+		if row, ok := prof.Row(name); !ok || row.Blame <= 0 {
+			t.Errorf("%s missing or unblamed in the data-centric view: %+v", name, prof.DataCentric)
+		}
+	}
+}

@@ -210,16 +210,10 @@ func dropDeadFuncs(p *ir.Program) {
 			}
 			for _, b := range f.Blocks {
 				for _, in := range b.Instrs {
-					if in.Callee != nil && !used[in.Callee] {
-						used[in.Callee] = true
-						changed = true
-					}
-					if in.Spawn != nil {
-						for _, x := range in.Spawn.Extra {
-							if !used[x] {
-								used[x] = true
-								changed = true
-							}
+					for _, c := range in.Callees() {
+						if !used[c] {
+							used[c] = true
+							changed = true
 						}
 					}
 				}

@@ -122,22 +122,13 @@ func Analyze(prog *ir.Program, opts Options) *Analysis {
 	for _, f := range prog.Funcs {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				if in.IsAliasDef() && in.Dst != nil && in.A != nil {
-					a.union(in.Dst, in.A)
+				if base := in.AliasBase(); base != nil && in.Dst != nil {
+					a.union(in.Dst, base)
 				}
-				// Class handle copies alias the same heap instance
-				// (`var p = partArray[pi];` — writes through p are
-				// writes to partArray's region).
-				if isClassVar(in.Dst) && in.A != nil {
-					switch in.Op {
-					case ir.OpMove, ir.OpIndex, ir.OpField, ir.OpTupleGet:
-						a.union(in.Dst, in.A)
-					}
-				}
-				if in.Op == ir.OpCall || in.Op == ir.OpSpawn {
-					for _, pr := range callRefArgs(in) {
-						if pr.param.IsRef && pr.arg != nil {
-							a.union(pr.param, pr.arg)
+				for _, bd := range in.Bindings() {
+					for k, p := range bd.Formals {
+						if p.IsRef {
+							a.union(p, bd.Actuals[k])
 						}
 					}
 				}
@@ -294,13 +285,13 @@ func (a *Analysis) analyzeFunc(f *ir.Func) *FuncAnalysis {
 			// mutates, plus the wide descriptors of global-classed
 			// *arrays* it bundles (scalars and domains pass by value;
 			// domains get descriptor blame at slice sites instead).
-			for _, pr := range callRefArgs(in) {
-				if pr.arg == nil {
-					continue
-				}
-				isGlobalArray := classHasGlobal(pr.arg) && pr.arg.Type != nil && pr.arg.Type.Kind() == types.Array
-				if (pr.param.IsRef && a.writes.WritesParam(in.Callee, pr.param)) || isGlobalArray {
-					addDef(pr.arg, idx)
+			for _, bd := range in.Bindings() {
+				for k, p := range bd.Formals {
+					arg := bd.Actuals[k]
+					isGlobalArray := classHasGlobal(arg) && arg.Type != nil && arg.Type.Kind() == types.Array
+					if (p.IsRef && a.writes.WritesParam(bd.Callee, p)) || isGlobalArray {
+						addDef(arg, idx)
+					}
 				}
 			}
 		default:
@@ -427,17 +418,8 @@ func (a *Analysis) buildPaths(fa *FuncAnalysis, cdeps map[int][]*ir.Instr) {
 	// partArray[pi]` names the same instance).
 	aliasDefOf := func(v *ir.Var) *ir.Instr {
 		for _, in := range fa.instrs {
-			if in.Dst != v {
-				continue
-			}
-			if in.IsAliasDef() {
+			if in.Dst == v && in.AliasBase() != nil {
 				return in
-			}
-			if isClassVar(v) {
-				switch in.Op {
-				case ir.OpIndex, ir.OpMove, ir.OpField:
-					return in
-				}
 			}
 		}
 		return nil
@@ -453,7 +435,7 @@ func (a *Analysis) buildPaths(fa *FuncAnalysis, cdeps map[int][]*ir.Instr) {
 		named := v.Sym != nil && !v.IsTemp
 		if named && !isClassVar(v) {
 			path, root = v.Name, v
-		} else if def := aliasDefOf(v); def != nil && def.A != nil {
+		} else if def := aliasDefOf(v); def != nil {
 			base, r := pathOf(def.A)
 			root = r
 			switch def.Op {

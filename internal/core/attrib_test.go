@@ -61,17 +61,8 @@ func callSites(prog *ir.Program) map[*ir.Func][]core.Frame {
 	for _, f := range prog.Funcs {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				if in.Op != ir.OpCall && in.Op != ir.OpSpawn {
-					continue
-				}
-				callees := []*ir.Func{in.Callee}
-				if in.Spawn != nil {
-					callees = append(callees, in.Spawn.Extra...)
-				}
-				for _, c := range callees {
-					if c != nil {
-						sites[c] = append(sites[c], core.Frame{Fn: f, Instr: in})
-					}
+				for _, c := range in.Callees() {
+					sites[c] = append(sites[c], core.Frame{Fn: f, Instr: in})
 				}
 			}
 		}

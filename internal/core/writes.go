@@ -30,14 +30,8 @@ func newWriteInfo(prog *ir.Program) *writeInfo {
 	for _, f := range prog.Funcs {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				if in.IsAliasDef() && in.Dst != nil && in.A != nil {
-					w.union(f, in.Dst, in.A)
-				}
-				if isClassVar(in.Dst) && in.A != nil {
-					switch in.Op {
-					case ir.OpMove, ir.OpIndex, ir.OpField, ir.OpTupleGet:
-						w.union(f, in.Dst, in.A)
-					}
+				if base := in.AliasBase(); base != nil && in.Dst != nil {
+					w.union(f, in.Dst, base)
 				}
 			}
 		}
@@ -59,24 +53,16 @@ func newWriteInfo(prog *ir.Program) *writeInfo {
 		for _, f := range prog.Funcs {
 			for _, b := range f.Blocks {
 				for _, in := range b.Instrs {
-					if in.Op != ir.OpCall && in.Op != ir.OpSpawn {
-						continue
-					}
-					for k, arg := range callRefArgs(in) {
-						_ = k
-						if arg.param == nil || arg.arg == nil {
-							continue
-						}
-						if !arg.param.IsRef {
-							continue
-						}
-						if !w.written[in.Callee][w.find(in.Callee, arg.param)] {
-							continue
-						}
-						rep := w.find(f, arg.arg)
-						if !w.written[f][rep] {
-							w.written[f][rep] = true
-							changed = true
+					for _, bd := range in.Bindings() {
+						for k, p := range bd.Formals {
+							if !p.IsRef || !w.written[bd.Callee][w.find(bd.Callee, p)] {
+								continue
+							}
+							rep := w.find(f, bd.Actuals[k])
+							if !w.written[f][rep] {
+								w.written[f][rep] = true
+								changed = true
+							}
 						}
 					}
 				}
@@ -116,33 +102,6 @@ func directWriteTarget(in *ir.Instr) *ir.Var {
 		return in.Dst
 	}
 	return in.Dst
-}
-
-// argPair couples a callee formal with the caller's actual.
-type argPair struct {
-	param, arg *ir.Var
-}
-
-// callRefArgs aligns a call/spawn's args with the callee's params
-// (spawn bodies take index params first).
-func callRefArgs(in *ir.Instr) []argPair {
-	if in.Callee == nil {
-		return nil
-	}
-	skip := 0
-	if in.Op == ir.OpSpawn && in.Spawn != nil {
-		skip = in.Spawn.NumIdx
-	}
-	var out []argPair
-	for k, p := range in.Callee.Params {
-		if k < skip {
-			continue
-		}
-		if k-skip < len(in.Args) {
-			out = append(out, argPair{param: p, arg: in.Args[k-skip]})
-		}
-	}
-	return out
 }
 
 // WritesParam reports whether fn writes (directly or transitively) the

@@ -188,7 +188,9 @@ type SpawnInfo struct {
 	// Iter is the iteration source: a range, domain, or array var.
 	// nil for begin/cobegin/on.
 	Iter *Var
-	// NumIdx is how many index parameters the outlined body takes.
+	// NumIdx is how many index parameters the outlined body takes (set
+	// only on forall/coforall). Analyses read it, Extra and ExtraArgs
+	// through Instr.Bindings.
 	NumIdx int
 	// Followers are zip-follower vars (arrays/ranges beyond the leader).
 	Followers []*Var
@@ -206,6 +208,24 @@ type Block struct {
 
 	// Preds/Succs are filled by Finalize.
 	Preds, Succs []*Block
+}
+
+// DefBefore returns the last instruction of b before stop that defines v
+// (nil when there is none, or b is nil).
+func (b *Block) DefBefore(v *Var, stop *Instr) *Instr {
+	if b == nil {
+		return nil
+	}
+	var def *Instr
+	for _, in := range b.Instrs {
+		if in == stop {
+			break
+		}
+		if in.Def() == v {
+			def = in
+		}
+	}
+	return def
 }
 
 // Terminator returns the final instruction, or nil if the block is empty.
@@ -435,6 +455,73 @@ func (i *Instr) IsAliasDef() bool {
 	return false
 }
 
+// AliasBase returns the operand the instruction makes Dst an alias of, or
+// nil: A for the alias defs (IsAliasDef), and for a copy, element read,
+// field read or tuple read into a class-typed Dst — class handles have
+// reference semantics, so `var p = parts[i];` names the same instance and
+// writes through p are writes to parts.
+func (i *Instr) AliasBase() *Var {
+	if i.IsAliasDef() {
+		return i.A
+	}
+	if i.Dst != nil && i.Dst.Type != nil && i.Dst.Type.Kind() == types.Class {
+		switch i.Op {
+		case OpMove, OpIndex, OpField, OpTupleGet:
+			return i.A
+		}
+	}
+	return nil
+}
+
+// Binding is one body an OpCall or OpSpawn invokes, with the actuals its
+// formals receive — the formal↔actual map the paper's interprocedural
+// transfer functions (§IV.A) carry blame across.
+type Binding struct {
+	Callee *Func
+	// Idx are the body's leading index formals: a forall/coforall body
+	// receives the iteration's index there, not an actual.
+	Idx []*Var
+	// Formals[k] is bound to Actuals[k].
+	Formals, Actuals []*Var
+}
+
+// Bindings returns one Binding per body, in Callees order: the callee of
+// an OpCall, or each body of an OpSpawn. A spawn's first body receives
+// Args and each further cobegin body its own Spawn.ExtraArgs entry.
+func (i *Instr) Bindings() []Binding {
+	bodies := i.Callees()
+	if len(bodies) == 0 {
+		return nil
+	}
+	out := make([]Binding, len(bodies))
+	for k, f := range bodies {
+		args, nidx := i.Args, 0
+		if i.Spawn != nil {
+			nidx = min(i.Spawn.NumIdx, len(f.Params))
+			if k > 0 {
+				args = nil
+				if k-1 < len(i.Spawn.ExtraArgs) {
+					args = i.Spawn.ExtraArgs[k-1]
+				}
+			}
+		}
+		n := min(len(f.Params)-nidx, len(args))
+		out[k] = Binding{Callee: f, Idx: f.Params[:nidx], Formals: f.Params[nidx : nidx+n], Actuals: args[:n]}
+	}
+	return out
+}
+
+// BindingOf returns the Binding of body f at this call or spawn (the zero
+// Binding when the instruction does not invoke f).
+func (i *Instr) BindingOf(f *Func) Binding {
+	for _, b := range i.Bindings() {
+		if b.Callee == f {
+			return b
+		}
+	}
+	return Binding{}
+}
+
 // Uses returns the variables this instruction reads.
 func (i *Instr) Uses() []*Var {
 	var out []*Var
@@ -456,33 +543,6 @@ func (i *Instr) Uses() []*Var {
 		add(i.Spawn.Iter)
 		for _, f := range i.Spawn.Followers {
 			add(f)
-		}
-	}
-	return out
-}
-
-// WritesRefArgs returns, for OpCall/OpSpawn, the argument vars passed to
-// ref formals (potentially written by the callee).
-func (i *Instr) WritesRefArgs() []*Var {
-	if i.Op != OpCall && i.Op != OpSpawn {
-		return nil
-	}
-	if i.Callee == nil {
-		return nil
-	}
-	// Spawn bodies take their index parameters first; the spawn's Args
-	// align with the params after them.
-	skip := 0
-	if i.Op == OpSpawn && i.Spawn != nil {
-		skip = i.Spawn.NumIdx
-	}
-	var out []*Var
-	for k, p := range i.Callee.Params {
-		if k < skip {
-			continue
-		}
-		if p.IsRef && k-skip < len(i.Args) {
-			out = append(out, i.Args[k-skip])
 		}
 	}
 	return out

@@ -1,9 +1,13 @@
 package ir_test
 
 import (
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/benchprog"
 	"repro/internal/compile"
 	"repro/internal/ir"
 )
@@ -123,8 +127,12 @@ func TestVarDisplay(t *testing.T) {
 	}
 }
 
-func TestWritesRefArgsAlignment(t *testing.T) {
-	p := build(t, `
+// bindingShapeSources are the programs TestBindingShape checks besides
+// the built-ins and examples: a forall over arrays (the spawn binds its
+// index formal and by-ref captures) and a two-body cobegin (the second
+// body binds through Spawn.ExtraArgs).
+var bindingShapeSources = map[string]string{
+	"forall": `
 config const n = 8;
 var D: domain(1) = {0..#n};
 proc main() {
@@ -134,25 +142,129 @@ proc main() {
     A[i] = B[i] + 1.0;
   }
 }
-`)
-	f := p.FuncByName("main")
-	var spawn *ir.Instr
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpSpawn {
-				spawn = in
+`,
+	"cobegin": `
+proc main() { var x = 0; var y = 0;
+  cobegin { for i in 1..200000 { x = x + i; }  for j in 1..200000 { y = y + j; } }
+  writeln(x + y); }
+`,
+}
+
+// TestBindingShape checks Instr.Bindings on every call and spawn of every
+// built-in, every example and bindingShapeSources: one binding per
+// Callees entry, every non-index formal paired 1:1 with an actual of that
+// body, and index formals only on forall/coforall spawns.
+func TestBindingShape(t *testing.T) {
+	progs := map[string]*ir.Program{}
+	for name, src := range bindingShapeSources {
+		progs[name] = build(t, src)
+	}
+	for _, bp := range benchprog.All() {
+		progs[bp.Name] = bp.MustCompile(compile.Options{}).Prog
+	}
+	err := filepath.WalkDir("../../examples", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".mchpl" {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		res, err := compile.Source(path, string(src), compile.Options{})
+		if err != nil {
+			return err
+		}
+		progs[path] = res.Prog
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refActuals := map[string]map[string]bool{} // program → actuals bound to ref formals
+	for name, p := range progs {
+		refActuals[name] = map[string]bool{}
+		for _, in := range p.Instrs {
+			if in.Op != ir.OpCall && in.Op != ir.OpSpawn {
+				continue
+			}
+			bds, callees := in.Bindings(), in.Callees()
+			if len(bds) != len(callees) {
+				t.Fatalf("%s: %s: %d bindings for %d callees", name, in, len(bds), len(callees))
+			}
+			indexed := in.Spawn != nil && (in.Spawn.Kind == ir.SpawnForall || in.Spawn.Kind == ir.SpawnCoforall)
+			for k, bd := range bds {
+				if bd.Callee != callees[k] {
+					t.Errorf("%s: %s: binding %d is %s, Callees has %s", name, in, k, bd.Callee.Name, callees[k].Name)
+				}
+				args := in.Args
+				if k > 0 {
+					args = in.Spawn.ExtraArgs[k-1]
+				}
+				if len(bd.Idx)+len(bd.Formals) != len(bd.Callee.Params) || len(bd.Actuals) != len(args) {
+					t.Errorf("%s: %s: body %s has %d index + %d formals of %d params, %d of %d actuals",
+						name, in, bd.Callee.Name, len(bd.Idx), len(bd.Formals), len(bd.Callee.Params), len(bd.Actuals), len(args))
+				}
+				if len(bd.Idx) > 0 && !indexed {
+					t.Errorf("%s: %s: %d index formals outside forall/coforall", name, in, len(bd.Idx))
+				}
+				for j, f := range bd.Formals {
+					if f.IsRef {
+						refActuals[name][bd.Actuals[j].Name] = true
+					}
+				}
 			}
 		}
 	}
-	if spawn == nil {
-		t.Fatal("no spawn")
+	// A forall body writes A through a ref capture; each cobegin body
+	// binds its own accumulator.
+	for name, want := range map[string][]string{"forall": {"A"}, "cobegin": {"x", "y"}} {
+		for _, v := range want {
+			if !refActuals[name][v] {
+				t.Errorf("%s: %s must be bound to a ref formal: %v", name, v, refActuals[name])
+			}
+		}
 	}
-	names := map[string]bool{}
-	for _, v := range spawn.WritesRefArgs() {
-		names[v.Name] = true
+}
+
+// TestAliasBase pins the one alias rule: alias defs alias their operand,
+// and so does a read into a class handle, but not a read into a value.
+func TestAliasBase(t *testing.T) {
+	p := build(t, `
+class Part { var residue: real; }
+config const np = 2;
+var partSpace: domain(1) = {0..#np};
+var partArray: [partSpace] Part;
+var vals: [partSpace] real;
+proc main() {
+  partArray[0] = new Part();
+  var q = partArray[0];
+  var r = vals[1];
+  ref s = vals[0];
+  q.residue = r + s;
+}
+`)
+	base := map[*ir.Var]*ir.Var{}
+	named := map[string]*ir.Var{}
+	for _, in := range p.FuncByName("main").Blocks[0].Instrs {
+		if in.Dst == nil {
+			continue
+		}
+		named[in.Dst.Name] = in.Dst
+		if b := in.AliasBase(); b != nil {
+			base[in.Dst] = b
+		}
 	}
-	if !names["A"] {
-		t.Errorf("A must be a written ref arg: %v", names)
+	chase := func(name string) string {
+		v := named[name]
+		for base[v] != nil {
+			v = base[v]
+		}
+		return v.Name
+	}
+	for v, want := range map[string]string{"q": "partArray", "s": "vals", "r": "r"} {
+		if got := chase(v); got != want {
+			t.Errorf("%s aliases %s, want %s", v, got, want)
+		}
 	}
 }
 
