@@ -86,12 +86,13 @@ func (r *Result) CommBlame() *postmortem.CommProfile {
 // profiling sequence: calibrate (when cfg.Threshold is 0), analyze, run
 // under the sampler, post-process.
 func Profile(prog *ir.Program, cfg Config) (*Result, error) {
+	expected := 0 // samples the run should take; known only when calibrated
 	if cfg.Threshold == 0 {
-		th, err := calibrate(prog, cfg.VM)
+		th, n, err := calibrate(prog, cfg.VM)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Threshold = th
+		cfg.Threshold, expected = th, n
 	}
 	// Step 1: static analysis (pre-run). Memoized: the analysis is a pure
 	// function of (program, options) and immutable once built, so repeated
@@ -107,6 +108,16 @@ func Profile(prog *ir.Program, cfg Config) (*Result, error) {
 		opts = append(opts, sampler.WithRingBuffer(cfg.SampleBuffer))
 	}
 	smp := sampler.New(prog, cfg.Threshold, opts...)
+	if n := expected + expected/16; n > 0 {
+		// Size the sample buffer once: a fault-free profiled run counts
+		// at most the calibration run's cycles, and the 1/16 slack covers
+		// latency injected faults add (past it, append grows the
+		// buffer). A bounded ring never needs more than its bound.
+		if cfg.SampleBuffer > 0 {
+			n = min(n, cfg.SampleBuffer)
+		}
+		smp.Samples = make([]sampler.RawSample, 0, n)
+	}
 	vmCfg := cfg.VM
 	vmCfg.Listener = smp
 	if cfg.Wrap != nil {

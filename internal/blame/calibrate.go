@@ -91,15 +91,18 @@ func Unmonitored(prog *ir.Program, cfg vm.Config) (vm.Stats, error) {
 // under cfg: TotalCycles/4001 of an unmonitored run (at least 101, forced
 // odd, in the spirit of the paper's prime), which targets a few thousand
 // samples where the paper's fixed large prime assumes multi-second wall
-// times. The calibration runs without cfg's fault injector and listener,
-// so it draws nothing from the fault PRNG: the profiled run's fault
-// schedule does not depend on whether a threshold was given or the
-// calibration came from the memo.
-func calibrate(prog *ir.Program, cfg vm.Config) (uint64, error) {
+// times. It also returns the number of samples the profiled run is
+// expected to take at that threshold, TotalCycles/threshold, so the
+// sample buffer can be sized once. The calibration runs without cfg's
+// fault injector and listener, so it draws nothing from the fault PRNG:
+// the profiled run's fault schedule does not depend on whether a
+// threshold was given or the calibration came from the memo.
+func calibrate(prog *ir.Program, cfg vm.Config) (threshold uint64, samples int, err error) {
 	cfg.Fault, cfg.Listener = nil, nil
 	st, err := Unmonitored(prog, cfg)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return max(st.TotalCycles/4001, 101) | 1, nil
+	threshold = max(st.TotalCycles/4001, 101) | 1
+	return threshold, int(st.TotalCycles / threshold), nil
 }

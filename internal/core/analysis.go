@@ -89,6 +89,23 @@ type FuncAnalysis struct {
 	// memo holds each instruction's level-local attribution (indexed
 	// like instrs), filled lazily by attribution.
 	memo []atomic.Pointer[instrBlame]
+	// cobegin holds the spawn sites that invoke more than one body, whose
+	// attribution at a caller level depends on the sampled body.
+	cobegin map[*ir.Instr]*cobeginSite
+}
+
+// cobeginSite is a spawn with several bodies. The spawn writes every
+// body's written actuals, but a sample inside one body blames, at the
+// spawn's level, only what that body writes.
+type cobeginSite struct {
+	// bodies are the spawn's bindings, in Callees order.
+	bodies []ir.Binding
+	// writes[k] lists the alias classes (representatives) body k writes
+	// at the spawn.
+	writes [][]*ir.Var
+	// memo[k] is the spawn's level-local attribution for body k, filled
+	// lazily by levelAttribution.
+	memo []atomic.Pointer[instrBlame]
 }
 
 // Analysis is the whole-program static blame result (paper step 1).
@@ -218,6 +235,7 @@ func (a *Analysis) analyzeFunc(f *ir.Func) *FuncAnalysis {
 		blame:      make(map[*ir.Var]*bitset),
 		blameLines: make(map[*ir.Var]map[int32]bool),
 		Paths:      make(map[string]*PathBlame),
+		cobegin:    make(map[*ir.Instr]*cobeginSite),
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -285,12 +303,21 @@ func (a *Analysis) analyzeFunc(f *ir.Func) *FuncAnalysis {
 			// mutates, plus the wide descriptors of global-classed
 			// *arrays* it bundles (scalars and domains pass by value;
 			// domains get descriptor blame at slice sites instead).
-			for _, bd := range in.Bindings() {
+			bds := in.Bindings()
+			var cb *cobeginSite
+			if len(bds) > 1 {
+				cb = &cobeginSite{bodies: bds, writes: make([][]*ir.Var, len(bds)), memo: make([]atomic.Pointer[instrBlame], len(bds))}
+				fa.cobegin[in] = cb
+			}
+			for b, bd := range bds {
 				for k, p := range bd.Formals {
 					arg := bd.Actuals[k]
 					isGlobalArray := classHasGlobal(arg) && arg.Type != nil && arg.Type.Kind() == types.Array
 					if (p.IsRef && a.writes.WritesParam(bd.Callee, p)) || isGlobalArray {
 						addDef(arg, idx)
+						if cb != nil {
+							cb.writes[b] = append(cb.writes[b], a.find(arg))
+						}
 					}
 				}
 			}

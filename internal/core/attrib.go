@@ -71,25 +71,67 @@ type instrBlame struct {
 	// exitBlamed reports whether one of the function's exit variables is
 	// blamed, i.e. whether blame bubbles to the caller.
 	exitBlamed bool
+	// actuals are the arguments caller-side transfer reads when blame
+	// bubbles through this instruction as a call or spawn site: Args, or
+	// at a cobegin the sampled body's actuals.
+	actuals []*ir.Var
 }
-
-// noBlame is the attribution of an instruction the function analysis does
-// not index: nothing is blamed at its level and bubbling stops.
-var noBlame = &instrBlame{}
 
 // attribution returns in's memoized level-local attribution, building it
 // on first use. Concurrent first uses may both build it; the first
-// stored value wins, so every caller sees one shared result.
+// stored value wins, so every caller sees one shared result. An
+// instruction fa does not index (a frame naming an instruction outside
+// its function) blames nothing at its level and stops bubbling, while
+// caller-side transfer still reads its Args.
 func (fa *FuncAnalysis) attribution(a *Analysis, in *ir.Instr) *instrBlame {
 	idx, ok := fa.index[in]
 	if !ok {
-		return noBlame
+		return &instrBlame{actuals: in.Args}
 	}
 	slot := &fa.memo[idx]
 	if ib := slot.Load(); ib != nil {
 		return ib
 	}
-	ib := fa.buildAttribution(a, in, idx)
+	ib := fa.buildAttribution(a, in, idx, nil, in.Args)
+	if !slot.CompareAndSwap(nil, ib) {
+		return slot.Load()
+	}
+	return ib
+}
+
+// levelAttribution returns the attribution of call or spawn site in at a
+// caller level of a path whose next frame inward runs body. It is in's
+// own attribution, except at a cobegin: there it leaves out the classes
+// only the other bodies write, and transfers through body's actuals,
+// memoized per (instruction, body).
+func (fa *FuncAnalysis) levelAttribution(a *Analysis, in *ir.Instr, body *ir.Func) *instrBlame {
+	cb := fa.cobegin[in]
+	if cb == nil {
+		return fa.attribution(a, in)
+	}
+	k := 0
+	for k < len(cb.bodies) && cb.bodies[k].Callee != body {
+		k++
+	}
+	if k == len(cb.bodies) {
+		return fa.attribution(a, in)
+	}
+	slot := &cb.memo[k]
+	if ib := slot.Load(); ib != nil {
+		return ib
+	}
+	exclude := make(map[*ir.Var]bool)
+	for j, reps := range cb.writes {
+		if j != k {
+			for _, r := range reps {
+				exclude[r] = true
+			}
+		}
+	}
+	for _, r := range cb.writes[k] {
+		delete(exclude, r)
+	}
+	ib := fa.buildAttribution(a, in, fa.index[in], exclude, cb.bodies[k].Actuals)
 	if !slot.CompareAndSwap(nil, ib) {
 		return slot.Load()
 	}
@@ -97,9 +139,13 @@ func (fa *FuncAnalysis) attribution(a *Analysis, in *ir.Instr) *instrBlame {
 }
 
 // buildAttribution scans fa's blame sets for the instruction at idx (or
-// its line, at line granularity).
-func (fa *FuncAnalysis) buildAttribution(a *Analysis, in *ir.Instr, idx int) *instrBlame {
+// its line, at line granularity), skipping the alias classes in exclude.
+// actuals become the result's transfer actuals.
+func (fa *FuncAnalysis) buildAttribution(a *Analysis, in *ir.Instr, idx int, exclude map[*ir.Var]bool, actuals []*ir.Var) *instrBlame {
 	blamedRep := func(rep *ir.Var) bool {
+		if exclude[rep] {
+			return false
+		}
 		if a.Opts.LineGranularity {
 			lines := fa.blameLines[rep]
 			return lines != nil && in.Pos.IsValid() && lines[in.Pos.Line]
@@ -107,7 +153,7 @@ func (fa *FuncAnalysis) buildAttribution(a *Analysis, in *ir.Instr, idx int) *in
 		s := fa.blame[rep]
 		return s != nil && s.has(idx)
 	}
-	ib := &instrBlame{}
+	ib := &instrBlame{actuals: actuals}
 	seen := make(map[*sem.Symbol]bool)
 	addVar := func(v *ir.Var) {
 		if displayable(v) && !seen[v.Sym] {
@@ -161,9 +207,10 @@ func (fa *FuncAnalysis) buildAttribution(a *Analysis, in *ir.Instr, idx int) *in
 // blame sets, then exit-variable bubbling through each call/spawn site
 // using the transfer functions.
 //
-// Each level's own blame is memoized per instruction, so a sample costs
-// one lookup per frame. The result may share the memo's storage: callers
-// must treat it as read-only.
+// Each level's own blame is memoized per instruction (per instruction and
+// body at a cobegin spawn, whose bodies write different actuals), so a
+// sample costs one lookup per frame. The result may share the memo's
+// storage: callers must treat it as read-only.
 func (a *Analysis) AttributeSample(path []Frame) []Blamed {
 	if len(path) == 0 {
 		return nil
@@ -211,7 +258,7 @@ func (a *Analysis) AttributeSample(path []Frame) []Blamed {
 		if fa == nil || fr.Instr == nil {
 			break
 		}
-		ib := fa.attribution(a, fr.Instr)
+		ib := fa.levelAttribution(a, fr.Instr, path[level-1].Fn)
 		for _, b := range ib.blamed[:ib.nVars] {
 			record(b)
 		}
@@ -220,7 +267,7 @@ func (a *Analysis) AttributeSample(path []Frame) []Blamed {
 		// parameter(s) and the parameter(s) that are not blamed in the
 		// caller" (§IV.A) — the other arguments fed the blamed work.
 		if fr.Instr.Op == ir.OpCall || fr.Instr.Op == ir.OpSpawn {
-			for _, arg := range fr.Instr.Args {
+			for _, arg := range ib.actuals {
 				if !aggregateArg(arg) {
 					continue
 				}

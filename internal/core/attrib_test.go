@@ -120,15 +120,37 @@ func samplePaths(prog *ir.Program, seed int64, n int) [][]core.Frame {
 	return paths
 }
 
+// cobeginProg has a three-body cobegin whose bodies write different
+// scalars, ref arrays and global arrays, so attribution at the spawn
+// depends on the body a path comes from. No built-in uses cobegin.
+var cobeginProg = benchprog.Program{Name: "cobegin", Source: `
+config const n = 64;
+var D: domain(1) = {0..#n};
+var A: [D] real;
+var B: [D] real;
+proc fill(ref X: [D] real, v: real) { forall i in D { X[i] = v * i; } }
+proc main() {
+  var x = 0;
+  var y = 0;
+  var t: 3*real;
+  cobegin {
+    { for i in 1..100 { x = x + i; } fill(A, 1.0); t(1) = 2.0; }
+    { for j in 1..100 { y = y + j; } fill(B, 2.0); }
+    { B[0] = A[0] + 1.0; }
+  }
+  writeln(x + y + A[1] + B[1] + t(1));
+}
+`}
+
 // TestAttributeSampleMatchesReference: the memoized attribution returns
 // the same blame as the full-scan reference on every instruction of every
-// built-in bench and on random glued call paths, under both granularities
-// and with bubbling on and off. Each path is attributed twice, so both
-// the filling and the filled memo are checked.
+// built-in bench and of cobeginProg, and on random glued call paths,
+// under both granularities and with bubbling on and off. Each path is
+// attributed twice, so both the filling and the filled memo are checked.
 func TestAttributeSampleMatchesReference(t *testing.T) {
 	var bubbled atomic.Int64 // paths whose blame reached a caller frame
 	t.Run("benches", func(t *testing.T) {
-		for _, p := range benchprog.All() {
+		for _, p := range append(benchprog.All(), cobeginProg) {
 			t.Run(p.Name, func(t *testing.T) {
 				t.Parallel()
 				res, err := compile.Source(p.Name, p.Source, compile.Options{})
@@ -167,7 +189,12 @@ func TestAttributeSampleMatchesReference(t *testing.T) {
 // TestAttributeSampleConcurrent attributes from 8 goroutines against one
 // shared, cold Analysis; run it under -race.
 func TestAttributeSampleConcurrent(t *testing.T) {
-	p := benchprog.Halo()
+	for _, p := range []benchprog.Program{benchprog.Halo(), cobeginProg} {
+		t.Run(p.Name, func(t *testing.T) { attributeConcurrently(t, p) })
+	}
+}
+
+func attributeConcurrently(t *testing.T, p benchprog.Program) {
 	res, err := compile.Source(p.Name, p.Source, compile.Options{})
 	if err != nil {
 		t.Fatal(err)

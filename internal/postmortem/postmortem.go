@@ -10,6 +10,8 @@
 package postmortem
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -146,18 +148,49 @@ func (p *Processor) Glue(s sampler.RawSample) Instance {
 	return inst
 }
 
+// pathInfo is what Process derives from one distinct glued path.
+type pathInfo struct {
+	// blamed is the path's attribution (read-only, as AttributeSample
+	// returns it).
+	blamed []core.Blamed
+	// fns lists the distinct functions on the path, by name.
+	fns []string
+}
+
 // Process runs attribution and aggregation over all samples.
+//
+// Attribution is a pure function of a sample's glued frames, and samples
+// repeat a few call paths many times, so each distinct path is attributed
+// once per call, keyed by its frames' instruction addresses (an
+// instruction determines its frame's function).
 func (p *Processor) Process(samples []sampler.RawSample, threshold uint64, stats vm.Stats) *Profile {
-	prof := &Profile{Threshold: threshold, Stats: stats}
+	prof := &Profile{Threshold: threshold, Stats: stats, Instances: make([]Instance, 0, len(samples))}
 	varRows := make(map[*sem.Symbol]*VarRow)
 	pathRows := make(map[string]*VarRow)
 	flat := make(map[string]int)
 	cum := make(map[string]int)
+	paths := make(map[string]pathInfo)
+	var key []byte
 
 	for _, s := range samples {
 		inst := p.Glue(s)
 		prof.Instances = append(prof.Instances, inst)
 		prof.TotalSamples++
+
+		key = key[:0]
+		for _, fr := range inst.Frames {
+			key = binary.AppendUvarint(key, fr.Instr.Addr)
+		}
+		pi, ok := paths[string(key)]
+		if !ok {
+			pi = pathInfo{blamed: p.analysis.AttributeSample(inst.Frames), fns: make([]string, 0, len(inst.Frames))}
+			for _, fr := range inst.Frames {
+				if !slices.Contains(pi.fns, fr.Fn.Name) {
+					pi.fns = append(pi.fns, fr.Fn.Name)
+				}
+			}
+			paths[string(key)] = pi
+		}
 
 		// Code-centric attribution (untrimmed view keeps runtime names).
 		innermost := s.RuntimeFunc
@@ -169,19 +202,15 @@ func (p *Processor) Process(samples []sampler.RawSample, threshold uint64, stats
 		if innermost != "" {
 			flat[innermost]++
 		}
-		seenFn := map[string]bool{}
-		if s.RuntimeFunc != "" {
-			seenFn[s.RuntimeFunc] = true
-		}
-		for _, fr := range inst.Frames {
-			seenFn[fr.Fn.Name] = true
-		}
-		for name := range seenFn {
+		for _, name := range pi.fns {
 			cum[name]++
+		}
+		if s.RuntimeFunc != "" && !slices.Contains(pi.fns, s.RuntimeFunc) {
+			cum[s.RuntimeFunc]++
 		}
 
 		// Data-centric attribution.
-		for _, b := range p.analysis.AttributeSample(inst.Frames) {
+		for _, b := range pi.blamed {
 			if b.Path != "" {
 				r, ok := pathRows[b.Path]
 				if !ok {

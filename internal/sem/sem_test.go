@@ -148,6 +148,21 @@ proc main() { R[2] = 1.0; }
 	}
 }
 
+// TestRefDeclRequiresInitializer pins the rule the VM relies on when it
+// gives ref locals no default value: every ref declaration binds storage
+// at its declaration, so no read can reach an unbound ref.
+func TestRefDeclRequiresInitializer(t *testing.T) {
+	checkErr(t, `
+record R { var a: int; }
+proc main() { ref r: R; }
+`, "ref declaration r requires an initializer")
+	checkErr(t, `
+var A: [1..4] real;
+ref G: [1..4] real;
+proc main() { }
+`, "ref declaration G requires an initializer")
+}
+
 func TestProcCallChecks(t *testing.T) {
 	check(t, `
 proc add(a: int, b: int): int { return a + b; }

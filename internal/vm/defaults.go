@@ -6,7 +6,8 @@ import (
 )
 
 // defSlot precomputes the default initializer of one local slot, so frame
-// entry replaces a per-local type walk with a table scan.
+// entry replaces a per-local type walk with a table scan. Ref locals get
+// no defSlot (see defaultsFor).
 type defSlot struct {
 	slot int
 	mode defMode
@@ -56,14 +57,17 @@ func typeNeedsDynamic(t types.Type) bool {
 
 // defaultsFor returns fn's precomputed local default initializers. Locals
 // whose default is the zero Value are skipped outright: fresh slot arrays
-// are already zeroed.
+// are already zeroed. So are ref locals (the ref temps of A[i], x.f and
+// t(i), ref declarations and loop index aliases): each is bound by its
+// alias definition before any read (sem rejects a ref declaration without
+// an initializer), so a default would be cloned only to be overwritten.
 func (m *VM) defaultsFor(fn *ir.Func) []defSlot {
 	if d, ok := m.defSlots[fn]; ok {
 		return d
 	}
 	var out []defSlot
 	for _, l := range fn.Locals {
-		if l.Type == nil {
+		if l.Type == nil || l.IsRef {
 			continue
 		}
 		if typeNeedsDynamic(l.Type) {
@@ -82,4 +86,26 @@ func (m *VM) defaultsFor(fn *ir.Func) []defSlot {
 	}
 	m.defSlots[fn] = out
 	return out
+}
+
+// initLocals default-initializes act's locals by declared type (globals
+// are zeroed the same way at startup), leaving slots a parameter already
+// bound. Indexed iteration: a defSlot embeds a 216-byte Value, so a range
+// copy per default would dominate this loop.
+func (m *VM) initLocals(act *Activation) {
+	defs := m.defaultsFor(act.F)
+	for i := range defs {
+		d := &defs[i]
+		if act.Slots[d.slot].K != KNil {
+			continue // parameter-aliased slot already bound
+		}
+		switch d.mode {
+		case defDirect:
+			act.Slots[d.slot] = d.v
+		case defCopy:
+			copyValueInto(&act.Slots[d.slot], &d.v)
+		default:
+			act.Slots[d.slot] = m.defaultValue(d.typ)
+		}
+	}
 }

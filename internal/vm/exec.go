@@ -1285,21 +1285,7 @@ func (m *VM) doCall(t *Task, in *ir.Instr) {
 			m.lis.Exec(extra, t, in, nil)
 		}
 	}
-	defs := m.defaultsFor(callee)
-	for i := range defs {
-		d := &defs[i]
-		if na.Slots[d.slot].K != KNil {
-			continue
-		}
-		switch d.mode {
-		case defDirect:
-			na.Slots[d.slot] = d.v
-		case defCopy:
-			copyValueInto(&na.Slots[d.slot], &d.v)
-		default:
-			na.Slots[d.slot] = m.defaultValue(d.typ)
-		}
-	}
+	m.initLocals(na)
 	if in.Dst != nil {
 		na.RetDst = m.cellOf(t, in.Dst)
 	}

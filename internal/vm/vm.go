@@ -550,26 +550,7 @@ func (m *VM) pushFrame(t *Task, fn *ir.Func, args []Value, retDst *Value) *Activ
 			act.Slots[p.Slot] = args[i]
 		}
 	}
-	// Default-initialize locals by declared type (globals are zeroed the
-	// same way at startup). The per-function defSlot list skips locals
-	// whose default is the zero Value and precomputes the rest. Indexed
-	// iteration: a defSlot embeds a 216-byte Value, so a range copy per
-	// default would dominate this loop.
-	defs := m.defaultsFor(fn)
-	for i := range defs {
-		d := &defs[i]
-		if act.Slots[d.slot].K != KNil {
-			continue // parameter-aliased slot already bound
-		}
-		switch d.mode {
-		case defDirect:
-			act.Slots[d.slot] = d.v
-		case defCopy:
-			copyValueInto(&act.Slots[d.slot], &d.v)
-		default:
-			act.Slots[d.slot] = m.defaultValue(d.typ)
-		}
-	}
+	m.initLocals(act)
 	t.Frames = append(t.Frames, act)
 	return act
 }
@@ -641,9 +622,11 @@ func (m *VM) runQuantum(c *core) {
 	t := c.queue[k]
 	c.lastTask = t
 	m.runSlice(t)
-	// Rotate: move t to the back for round-robin fairness.
-	if len(c.queue) > 1 {
-		c.queue = append(append(c.queue[:k:k], c.queue[k+1:]...), t)
+	// Rotate: move t to the back for round-robin fairness, in place (a
+	// copy per quantum would be garbage by the next one).
+	if n := len(c.queue); n > 1 {
+		copy(c.queue[k:], c.queue[k+1:])
+		c.queue[n-1] = t
 	}
 	m.reap(c)
 }
