@@ -225,11 +225,13 @@ func BenchmarkOverhead_StackWalk(b *testing.B) {
 	proc := postmortem.New(res.Prog, an, s.Spawns)
 	b.ResetTimer()
 	walks := 0
+	var frames []core.Frame
 	for i := 0; i < b.N; i++ {
-		// Replay: glue every recorded sample (address resolution +
-		// per-frame work is the dominant post-walk cost).
+		// Replay: glue every recorded sample into one reused buffer
+		// (address resolution + per-frame work is the dominant post-walk
+		// cost).
 		for _, smp := range s.Samples {
-			proc.Glue(smp)
+			frames = proc.Glue(frames[:0], smp)
 			walks++
 		}
 	}

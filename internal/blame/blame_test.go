@@ -1,6 +1,7 @@
 package blame_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/blame"
@@ -71,19 +72,20 @@ func TestHotVariableRankedFirst(t *testing.T) {
 
 func TestWorkerSamplesGlued(t *testing.T) {
 	r := profileSrc(t, hotColdSrc)
-	// Most samples land in outlined bodies; their instances must include
-	// a main frame after gluing.
+	// Most samples land in outlined bodies; their glued paths must
+	// include a main frame.
+	proc := postmortem.New(r.Analysis.Prog, r.Analysis, r.Sampler.Spawns)
 	glued := 0
 	workers := 0
-	for _, inst := range r.Profile.Instances {
-		if len(inst.Tags) > 0 {
-			workers++
-			for _, fr := range inst.Frames {
-				if fr.Fn.Name == "main" {
-					glued++
-					break
-				}
-			}
+	var frames []core.Frame
+	for _, s := range r.Sampler.Samples {
+		if s.Tag == 0 {
+			continue
+		}
+		workers++
+		frames = proc.Glue(frames[:0], s)
+		if slices.ContainsFunc(frames, func(fr core.Frame) bool { return fr.Fn.Name == "main" }) {
+			glued++
 		}
 	}
 	if workers == 0 {

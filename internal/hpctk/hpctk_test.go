@@ -14,7 +14,7 @@ func TestSmallAllocationsNotTracked(t *testing.T) {
 	allocs := []sampler.AllocRecord{
 		{Addr: 0x1000, Size: 128, VarName: "small", Var: &ir.Var{Name: "small"}},
 	}
-	samples := []sampler.RawSample{{Addr: 1, DataAddr: 0x1040, DataSize: 128}}
+	samples := []sampler.RawSample{{Addr: 1, DataAddr: 0x1040}}
 	p := hpctk.Attribute(samples, allocs)
 	if p.UnknownShare != 1.0 {
 		t.Errorf("sub-4K block must be unknown, got %.2f unknown", p.UnknownShare)

@@ -2,11 +2,11 @@
 // the raw context-sensitive samples (address vectors), converts addresses
 // to functions/files/lines via the program's debug information, glues
 // worker-thread post-spawn stacks to their recorded pre-spawn stacks via
-// spawn tags, trims runtime-library frames, builds per-sample
-// "instances", and runs the blame attribution (transfer-function
-// bubbling) to produce the final data-centric profile. It also derives
-// the classic code-centric profile from the same samples (the paper
-// notes this comes "with almost no overhead").
+// spawn tags, trims runtime-library frames to form each sample's
+// "instance" (its complete call path), and runs the blame attribution
+// (transfer-function bubbling) to produce the final data-centric
+// profile. It also derives the classic code-centric profile from the
+// same samples (the paper notes this comes "with almost no overhead").
 package postmortem
 
 import (
@@ -20,20 +20,6 @@ import (
 	"repro/internal/sem"
 	"repro/internal/vm"
 )
-
-// Instance is the paper's per-sample abstraction: the complete, cleaned
-// call path of one sample (module/file/line context per frame).
-type Instance struct {
-	// Frames is the glued call path, innermost first, runtime frames
-	// trimmed.
-	Frames []core.Frame
-	// RuntimeFunc is set for samples that landed in runtime code.
-	RuntimeFunc string
-	// Tags lists the spawn tags glued through (outermost last).
-	Tags []uint64
-	// Locale is the node the sample came from.
-	Locale int
-}
 
 // VarRow is one row of the flat data-centric view (paper Tables II/IV/VI).
 type VarRow struct {
@@ -67,12 +53,10 @@ type Profile struct {
 	TotalSamples int
 	DataCentric  []VarRow
 	CodeCentric  []FuncRow
-	Instances    []Instance
 	Threshold    uint64
 	Stats        vm.Stats
-	// Dropped counts profile records lost upstream (sampler ring-buffer
-	// overrun, truncated/corrupt dataset records): the profile below is a
-	// partial view and the renderers say so.
+	// Dropped counts samples lost to the sampler's ring-buffer overrun:
+	// the profile below is a partial view and the renderers say so.
 	Dropped uint64
 	// PerLocale holds per-node profiles for multi-locale runs (step 3 is
 	// "embarrassingly parallel" per node; step 4 aggregates).
@@ -101,20 +85,13 @@ func New(prog *ir.Program, analysis *core.Analysis, spawns map[uint64]sampler.Sp
 	return &Processor{prog: prog, analysis: analysis, spawns: spawns}
 }
 
-// ProcessDataset runs attribution over a dataset read back from disk,
-// carrying the dataset's drop count (truncated or corrupt records) into
-// the profile so the rendered views disclose the partial coverage.
-func (p *Processor) ProcessDataset(ds *sampler.Dataset, stats vm.Stats) *Profile {
-	prof := p.Process(ds.Samples, ds.Threshold, stats)
-	prof.Dropped += ds.Dropped
-	return prof
-}
-
-// Glue builds the full, trimmed call path of one raw sample: address →
-// instruction resolution, pre/post-spawn gluing via tags, runtime-frame
-// trimming.
-func (p *Processor) Glue(s sampler.RawSample) Instance {
-	inst := Instance{RuntimeFunc: s.RuntimeFunc, Locale: s.Locale}
+// Glue appends one raw sample's full, trimmed call path (the paper's
+// per-sample "instance"), innermost first, to dst and returns the
+// extended slice: address → instruction resolution, pre/post-spawn
+// gluing via tags, runtime-frame trimming. dst is the caller's buffer;
+// Glue keeps no reference to it.
+func (p *Processor) Glue(dst []core.Frame, s sampler.RawSample) []core.Frame {
+	start := len(dst)
 	appendAddrs := func(addrs []uint64) {
 		for _, a := range addrs {
 			in := p.prog.InstrAt(a)
@@ -127,25 +104,23 @@ func (p *Processor) Glue(s sampler.RawSample) Instance {
 			}
 			// Trim redundant adjacent duplicates (the paper trims
 			// redundant stack info when gluing).
-			if n := len(inst.Frames); n > 0 && inst.Frames[n-1].Instr == in {
+			if n := len(dst); n > start && dst[n-1].Instr == in {
 				continue
 			}
-			inst.Frames = append(inst.Frames, core.Frame{Fn: fn, Instr: in})
+			dst = append(dst, core.Frame{Fn: fn, Instr: in})
 		}
 	}
 	appendAddrs(s.Stack)
 	// Glue pre-spawn traces by walking the tag chain.
-	tag := s.Tag
-	for tag != 0 {
+	for tag := s.Tag; tag != 0; {
 		rec, ok := p.spawns[tag]
 		if !ok {
 			break
 		}
-		inst.Tags = append(inst.Tags, tag)
 		appendAddrs(rec.Stack)
 		tag = rec.ParentTag
 	}
-	return inst
+	return dst
 }
 
 // pathInfo is what Process derives from one distinct glued path.
@@ -162,29 +137,30 @@ type pathInfo struct {
 // Attribution is a pure function of a sample's glued frames, and samples
 // repeat a few call paths many times, so each distinct path is attributed
 // once per call, keyed by its frames' instruction addresses (an
-// instruction determines its frame's function).
+// instruction determines its frame's function). Every sample is glued
+// into one reused buffer, and nothing of samples is kept.
 func (p *Processor) Process(samples []sampler.RawSample, threshold uint64, stats vm.Stats) *Profile {
-	prof := &Profile{Threshold: threshold, Stats: stats, Instances: make([]Instance, 0, len(samples))}
+	prof := &Profile{Threshold: threshold, Stats: stats}
 	varRows := make(map[*sem.Symbol]*VarRow)
 	pathRows := make(map[string]*VarRow)
 	flat := make(map[string]int)
 	cum := make(map[string]int)
 	paths := make(map[string]pathInfo)
 	var key []byte
+	var frames []core.Frame
 
 	for _, s := range samples {
-		inst := p.Glue(s)
-		prof.Instances = append(prof.Instances, inst)
+		frames = p.Glue(frames[:0], s)
 		prof.TotalSamples++
 
 		key = key[:0]
-		for _, fr := range inst.Frames {
+		for _, fr := range frames {
 			key = binary.AppendUvarint(key, fr.Instr.Addr)
 		}
 		pi, ok := paths[string(key)]
 		if !ok {
-			pi = pathInfo{blamed: p.analysis.AttributeSample(inst.Frames), fns: make([]string, 0, len(inst.Frames))}
-			for _, fr := range inst.Frames {
+			pi = pathInfo{blamed: p.analysis.AttributeSample(frames), fns: make([]string, 0, len(frames))}
+			for _, fr := range frames {
 				if !slices.Contains(pi.fns, fr.Fn.Name) {
 					pi.fns = append(pi.fns, fr.Fn.Name)
 				}

@@ -51,20 +51,21 @@ func TestGlueProducesFullPaths(t *testing.T) {
 	an := core.Analyze(res.Prog, core.DefaultOptions())
 	proc := postmortem.New(res.Prog, an, s.Spawns)
 	sawDeep := false
+	var frames []core.Frame
 	for _, smp := range s.Samples {
-		inst := proc.Glue(smp)
 		if smp.Tag == 0 {
 			continue
 		}
 		// Worker samples: glued path must end in main (through outer).
+		frames = proc.Glue(frames[:0], smp)
 		names := map[string]bool{}
-		for _, fr := range inst.Frames {
+		for _, fr := range frames {
 			names[fr.Fn.Name] = true
 		}
 		if names["inner"] && names["outer"] && names["main"] {
 			sawDeep = true
 		}
-		if len(inst.Frames) > 0 && !names["main"] {
+		if len(frames) > 0 && !names["main"] {
 			t.Fatalf("worker sample not glued to main: %v", names)
 		}
 	}
@@ -77,9 +78,10 @@ func TestGlueTrimsRuntimeFrames(t *testing.T) {
 	res, s, _ := buildRun(t, gluSrc, 503)
 	an := core.Analyze(res.Prog, core.DefaultOptions())
 	proc := postmortem.New(res.Prog, an, s.Spawns)
+	var frames []core.Frame
 	for _, smp := range s.Samples {
-		inst := proc.Glue(smp)
-		for _, fr := range inst.Frames {
+		frames = proc.Glue(frames[:0], smp)
+		for _, fr := range frames {
 			if fr.Fn.IsRuntime {
 				t.Fatalf("runtime frame %s not trimmed", fr.Fn.Name)
 			}
@@ -99,8 +101,7 @@ func TestSpinSamplesResolveToSpawnSite(t *testing.T) {
 			continue
 		}
 		spin++
-		inst := proc.Glue(smp)
-		if len(inst.Frames) > 0 {
+		if len(proc.Glue(nil, smp)) > 0 {
 			resolved++
 		}
 	}
@@ -149,21 +150,6 @@ func TestRowsSortedByBlame(t *testing.T) {
 		if prof.CodeCentric[i].Flat > prof.CodeCentric[i-1].Flat {
 			t.Fatal("code-centric rows not sorted")
 		}
-	}
-}
-
-func TestInstanceTagsRecorded(t *testing.T) {
-	res, s, stats := buildRun(t, gluSrc, 503)
-	an := core.Analyze(res.Prog, core.DefaultOptions())
-	prof := postmortem.New(res.Prog, an, s.Spawns).Process(s.Samples, 503, stats)
-	tagged := 0
-	for _, inst := range prof.Instances {
-		if len(inst.Tags) > 0 {
-			tagged++
-		}
-	}
-	if tagged == 0 {
-		t.Error("no instances carry spawn tags")
 	}
 }
 

@@ -1,16 +1,9 @@
 package sampler_test
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
-	"repro/internal/compile"
-	"repro/internal/core"
-	"repro/internal/postmortem"
 	"repro/internal/sampler"
-	"repro/internal/views"
-	"repro/internal/vm"
 )
 
 // A bounded ring buffer overruns on a sample-heavy run: the buffer holds
@@ -36,94 +29,5 @@ func TestRingBufferOverrunDropsAndCounts(t *testing.T) {
 		if bounded.Samples[i].Addr != full.Samples[i].Addr {
 			t.Fatalf("sample %d diverged from unbounded run", i)
 		}
-	}
-}
-
-// Truncating a dataset mid-record yields the intact prefix plus a drop
-// count instead of an error — the post-mortem step keeps working on
-// partial data.
-func TestTruncatedDatasetReadsPartial(t *testing.T) {
-	s, _ := runSampled(t, parSrc, 1009)
-	var buf bytes.Buffer
-	if err := s.WriteDataset(&buf); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-	cut := len(whole) * 3 / 4
-	ds, err := sampler.ReadDataset(bytes.NewReader(whole[:cut]))
-	if err != nil {
-		t.Fatalf("truncated stream errored instead of degrading: %v", err)
-	}
-	if ds.Dropped == 0 {
-		t.Error("truncation not counted")
-	}
-	if len(ds.Samples) == 0 {
-		t.Error("no samples recovered from the intact prefix")
-	}
-	if len(ds.Samples) >= len(s.Samples) && len(ds.Spawns) >= len(s.Spawns) &&
-		len(ds.Allocs) >= len(s.Allocs) && len(ds.CommNames) >= len(s.Comms) {
-		t.Error("truncated read claims to have recovered everything")
-	}
-}
-
-// End-to-end degradation: a deliberately truncated dataset still yields
-// a usable partial blame view — attribution from the intact prefix, a
-// Dropped count, and a rendered warning (acceptance criterion).
-func TestTruncatedDatasetStillBlames(t *testing.T) {
-	res, err := compile.Source("t.mchpl", parSrc, compile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sampler.New(res.Prog, 1009)
-	cfg := vm.DefaultConfig()
-	cfg.Listener = s
-	stats, err := vm.New(res.Prog, cfg).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := s.WriteDataset(&buf); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-	ds, err := sampler.ReadDataset(bytes.NewReader(whole[:len(whole)*2/3]))
-	if err != nil {
-		t.Fatalf("truncated dataset errored: %v", err)
-	}
-	if ds.Dropped == 0 {
-		t.Fatal("truncation not counted")
-	}
-	an := core.Analyze(res.Prog, core.DefaultOptions())
-	prof := postmortem.New(res.Prog, an, ds.Spawns).ProcessDataset(ds, stats)
-	if prof.Dropped == 0 {
-		t.Error("drop count did not reach the profile")
-	}
-	if row, ok := prof.Row("A"); !ok || row.Blame <= 0 {
-		t.Errorf("partial profile lost attribution entirely: %+v", prof.DataCentric)
-	}
-	view := views.DataCentric(prof, 10)
-	if !strings.Contains(view, "WARNING: partial profile") {
-		t.Errorf("view does not disclose the partial coverage:\n%s", view)
-	}
-}
-
-// A corrupt kind byte mid-stream degrades the same way: the stream
-// cannot be resynced, so the parse stops with Dropped > 0.
-func TestCorruptRecordKindDegrades(t *testing.T) {
-	s, _ := runSampled(t, parSrc, 4099)
-	var buf bytes.Buffer
-	if err := s.WriteDataset(&buf); err != nil {
-		t.Fatal(err)
-	}
-	whole := buf.Bytes()
-	// Header is magic (4) + threshold (8); the first record's kind byte
-	// sits right after it.
-	whole[12] = 0xEE
-	ds, err := sampler.ReadDataset(bytes.NewReader(whole))
-	if err != nil {
-		t.Fatalf("corrupt stream errored instead of degrading: %v", err)
-	}
-	if ds.Dropped == 0 {
-		t.Error("corruption not counted")
 	}
 }

@@ -23,8 +23,6 @@ type RawSample struct {
 	// Stack is the post-spawn stack walk, innermost first (Stack[0] ==
 	// Addr unless the sample hit runtime spin code).
 	Stack []uint64
-	// TaskID identifies the interrupted task.
-	TaskID int
 	// Tag is the task's spawn tag (0 for the master task).
 	Tag uint64
 	// Locale is the node the sample was taken on.
@@ -36,20 +34,16 @@ type RawSample struct {
 	// (0 when the instruction was not a memory access) — what PEBS-style
 	// address sampling provides; used by the HPCToolkit-like baseline.
 	DataAddr uint64
-	// DataSize is the byte size of the touched allocation.
-	DataSize int64
 }
 
 // SpawnRecord is the tasking-layer instrumentation record for one spawn
-// operation: tag + pre-spawn stack trace.
+// operation, keyed by its tag in Sampler.Spawns: the spawning task's own
+// tag plus the pre-spawn stack trace.
 type SpawnRecord struct {
-	Tag       uint64
 	ParentTag uint64
 	// Stack is the parent's stack walk at the spawn point, innermost
 	// first; Stack[0] is the spawn instruction itself.
 	Stack []uint64
-	// Site is the spawn instruction's address.
-	Site uint64
 }
 
 // CommRecord is one remote (inter-locale) data transfer observed by the
@@ -60,10 +54,6 @@ type CommRecord struct {
 	// Var is the variable owning the accessed allocation (nil when the
 	// allocation was anonymous).
 	Var *ir.Var
-	// Addr is the accessing instruction's address.
-	Addr uint64
-	// Tag is the accessing task's spawn tag.
-	Tag uint64
 }
 
 // AllocRecord is one heap allocation event.
@@ -72,7 +62,6 @@ type AllocRecord struct {
 	Size    int64
 	VarName string
 	Var     *ir.Var
-	Site    uint64
 }
 
 // Sampler is a vm.Listener that produces raw profiling data.
@@ -92,7 +81,6 @@ type Sampler struct {
 	Spawns  map[uint64]SpawnRecord
 	Allocs  []AllocRecord
 	Comms   []CommRecord
-	AggEvs  []comm.Event
 
 	// StackWalks counts walks performed (overhead accounting, §V).
 	StackWalks uint64
@@ -195,14 +183,12 @@ func (s *Sampler) takeSample(t *vm.Task, in *ir.Instr, acc *vm.ArrayVal) {
 	s.StackWalks++
 	smp := RawSample{
 		Addr:   in.Addr,
-		TaskID: t.ID,
 		Tag:    t.Tag,
 		Locale: t.Locale,
 		Stack:  t.StackAddrs(),
 	}
 	if acc != nil {
 		smp.DataAddr = acc.Addr
-		smp.DataSize = acc.SizeBytes
 	}
 	// Skid compensation: rewind through the task's retirement history to
 	// the instruction that raised the overflow.
@@ -231,7 +217,6 @@ func (s *Sampler) Spin(cycles uint64, t *vm.Task, fn *ir.Func) {
 		}
 		s.StackWalks++
 		smp := RawSample{
-			TaskID:      t.ID,
 			Tag:         t.Tag,
 			Locale:      t.Locale,
 			Stack:       t.StackAddrs(),
@@ -249,10 +234,8 @@ func (s *Sampler) Spin(cycles uint64, t *vm.Task, fn *ir.Func) {
 func (s *Sampler) PreSpawn(parent *vm.Task, tag uint64, site *ir.Instr) {
 	s.StackWalks++
 	s.Spawns[tag] = SpawnRecord{
-		Tag:       tag,
 		ParentTag: parent.Tag,
 		Stack:     parent.StackAddrs(),
-		Site:      site.Addr,
 	}
 }
 
@@ -262,32 +245,24 @@ func (s *Sampler) Alloc(addr uint64, size int64, v *ir.Var, site *ir.Instr) {
 	if v != nil {
 		name = v.Name
 	}
-	var siteAddr uint64
-	if site != nil {
-		siteAddr = site.Addr
-	}
-	s.Allocs = append(s.Allocs, AllocRecord{Addr: addr, Size: size, VarName: name, Var: v, Site: siteAddr})
+	s.Allocs = append(s.Allocs, AllocRecord{Addr: addr, Size: size, VarName: name, Var: v})
 }
 
 // Comm implements vm.Listener.
 func (s *Sampler) Comm(bytes int64, from, to int, owner *ir.Var, t *vm.Task, in *ir.Instr) {
-	rec := CommRecord{Bytes: bytes, From: from, To: to, Var: owner, Tag: t.Tag}
-	if in != nil {
-		rec.Addr = in.Addr
-	}
-	s.Comms = append(s.Comms, rec)
+	s.Comms = append(s.Comms, CommRecord{Bytes: bytes, From: from, To: to, Var: owner})
 }
 
-// CommAgg implements vm.Listener: record aggregation-runtime events
-// (prefetches, cache hits, flushes, ...) for the post-mortem comm view.
-func (s *Sampler) CommAgg(ev comm.Event, t *vm.Task) {
-	s.AggEvs = append(s.AggEvs, ev)
-}
+// CommAgg implements vm.Listener. The comm view reads the aggregation
+// runtime's totals from the run's vm.Stats.Agg, so the sampler records
+// nothing per event.
+func (s *Sampler) CommAgg(ev comm.Event, t *vm.Task) {}
 
-// DataSetBytes estimates the raw profile size on disk (overhead table in
-// §V: "the sizes of the datasets generated during runtime are 6MB to
-// 20MB"): each sample stores its stack walk of 8-byte addresses plus
-// fixed header.
+// DataSetBytes is the paper's estimate of the raw profile's size on disk
+// (overhead table in §V: "the sizes of the datasets generated during
+// runtime are 6MB to 20MB"): each sample counts a fixed header plus its
+// stack walk of 8-byte addresses, each spawn record likewise. Nothing is
+// encoded; the figure is the size model the overhead view prints.
 func (s *Sampler) DataSetBytes() int64 {
 	var b int64
 	for _, smp := range s.Samples {

@@ -1,17 +1,24 @@
 package sampler_test
 
 import (
-	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/compile"
-	"repro/internal/core"
-	"repro/internal/postmortem"
+	"repro/internal/ir"
 	"repro/internal/sampler"
 	"repro/internal/vm"
 )
 
 func runSampled(t *testing.T, src string, threshold uint64, opts ...sampler.Option) (*sampler.Sampler, vm.Stats) {
+	t.Helper()
+	_, s, stats := runProgram(t, src, threshold, opts...)
+	return s, stats
+}
+
+// runProgram is runSampled that also returns the compiled program, for
+// tests that resolve recorded addresses.
+func runProgram(t *testing.T, src string, threshold uint64, opts ...sampler.Option) (*ir.Program, *sampler.Sampler, vm.Stats) {
 	t.Helper()
 	res, err := compile.Source("t.mchpl", src, compile.Options{})
 	if err != nil {
@@ -25,7 +32,7 @@ func runSampled(t *testing.T, src string, threshold uint64, opts ...sampler.Opti
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return s, stats
+	return res.Prog, s, stats
 }
 
 const parSrc = `
@@ -73,19 +80,16 @@ func TestSamplesCarryStacksAndTags(t *testing.T) {
 }
 
 func TestSpawnRecordsHavePreSpawnStacks(t *testing.T) {
-	s, _ := runSampled(t, parSrc, 509)
+	prog, s, _ := runProgram(t, parSrc, 509)
 	if len(s.Spawns) != 10 {
 		t.Fatalf("spawn records = %d, want 10 (one per forall)", len(s.Spawns))
 	}
 	for tag, rec := range s.Spawns {
-		if rec.Tag != tag {
-			t.Errorf("tag mismatch: %d vs %d", rec.Tag, tag)
-		}
 		if len(rec.Stack) == 0 {
 			t.Errorf("spawn %d has no pre-spawn stack", tag)
 		}
-		if rec.Site == 0 && rec.Stack[0] != rec.Site {
-			t.Errorf("spawn %d: site %d not innermost of stack %v", tag, rec.Site, rec.Stack)
+		if in := prog.InstrAt(rec.Stack[0]); in == nil || in.Op != ir.OpSpawn {
+			t.Errorf("spawn %d: innermost frame %d of stack %v is not a spawn instruction", tag, rec.Stack[0], rec.Stack)
 		}
 	}
 }
@@ -109,8 +113,10 @@ func TestDataAddressesOnMemorySamples(t *testing.T) {
 	for _, smp := range s.Samples {
 		if smp.DataAddr != 0 {
 			withAddr++
-			if smp.DataSize == 0 {
-				t.Error("data address without size")
+			if !slices.ContainsFunc(s.Allocs, func(a sampler.AllocRecord) bool {
+				return smp.DataAddr >= a.Addr && smp.DataAddr < a.Addr+uint64(a.Size)
+			}) {
+				t.Fatalf("data address %#x lies in no recorded allocation", smp.DataAddr)
 			}
 		}
 	}
@@ -193,86 +199,5 @@ func TestSkidCompensationRestoresAttribution(t *testing.T) {
 	// require a strong majority.
 	if match < n*8/10 {
 		t.Errorf("compensated addresses match precise run for only %d/%d samples", match, n)
-	}
-}
-
-func TestDatasetRoundTrip(t *testing.T) {
-	s, _ := runSampled(t, parSrc, 1009)
-	var buf bytes.Buffer
-	if err := s.WriteDataset(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := sampler.ReadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Threshold != 1009 {
-		t.Errorf("threshold = %d", ds.Threshold)
-	}
-	if len(ds.Samples) != len(s.Samples) {
-		t.Fatalf("samples: %d vs %d", len(ds.Samples), len(s.Samples))
-	}
-	for i := range s.Samples {
-		a, b := s.Samples[i], ds.Samples[i]
-		if a.Addr != b.Addr || a.Tag != b.Tag || a.TaskID != b.TaskID ||
-			a.RuntimeFunc != b.RuntimeFunc || a.DataAddr != b.DataAddr ||
-			len(a.Stack) != len(b.Stack) {
-			t.Fatalf("sample %d differs: %+v vs %+v", i, a, b)
-		}
-		for k := range a.Stack {
-			if a.Stack[k] != b.Stack[k] {
-				t.Fatalf("sample %d stack[%d] differs", i, k)
-			}
-		}
-	}
-	if len(ds.Spawns) != len(s.Spawns) {
-		t.Errorf("spawns: %d vs %d", len(ds.Spawns), len(s.Spawns))
-	}
-	for tag, sp := range s.Spawns {
-		got, ok := ds.Spawns[tag]
-		if !ok || got.Site != sp.Site || got.ParentTag != sp.ParentTag || len(got.Stack) != len(sp.Stack) {
-			t.Errorf("spawn %d differs", tag)
-		}
-	}
-	if len(ds.Allocs) != len(s.Allocs) {
-		t.Errorf("allocs: %d vs %d", len(ds.Allocs), len(s.Allocs))
-	}
-}
-
-func TestDatasetRejectsGarbage(t *testing.T) {
-	if _, err := sampler.ReadDataset(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Error("short garbage accepted")
-	}
-	if _, err := sampler.ReadDataset(bytes.NewReader([]byte{9, 9, 9, 9, 0, 0, 0, 0, 0, 0, 0, 0})); err == nil {
-		t.Error("bad magic accepted")
-	}
-}
-
-func TestOfflinePostMortemFromDataset(t *testing.T) {
-	// The paper's workflow: run under the monitor, write the dataset,
-	// post-process offline against the program's debug info.
-	res, err := compile.Source("t.mchpl", parSrc, compile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sampler.New(res.Prog, 1009)
-	cfg := vm.DefaultConfig()
-	cfg.Listener = s
-	stats, err := vm.New(res.Prog, cfg).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := s.WriteDataset(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := sampler.ReadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := core.Analyze(res.Prog, core.DefaultOptions())
-	prof := postmortem.New(res.Prog, an, ds.Spawns).Process(ds.Samples, ds.Threshold, stats)
-	if row, ok := prof.Row("A"); !ok || row.Blame < 0.3 {
-		t.Errorf("offline profile lost attribution: %+v", prof.DataCentric)
 	}
 }

@@ -15,10 +15,10 @@ import (
 //
 //   - emits coarse progress events (cycles executed, samples collected)
 //     every progressEvery cycles, and
-//   - every rankEvery samples, runs the post-mortem processor over a
-//     snapshot of the samples observed so far and emits the current
-//     top-k data-centric blame ranking — the "incremental blame ranks"
-//     a streaming client renders while the run is still going.
+//   - every rankEvery samples, runs the post-mortem processor over the
+//     samples up to that count and emits the current top-k data-centric
+//     blame ranking — the "incremental blame ranks" a streaming client
+//     renders while the run is still going.
 //
 // The VM is a single-goroutine simulator, so all callbacks arrive on
 // one goroutine and the monitor needs no locking of its own; emit must
@@ -62,24 +62,20 @@ func (m *monitor) tick(cycles uint64) {
 		}
 	}
 	if n := len(m.smp.Samples); n >= m.nextRank {
-		m.snapshotRanks(n)
-		for m.nextRank <= n {
-			m.nextRank += rankEvery
-		}
+		// One instruction can take several samples, so n may overshoot
+		// the boundary; rank exactly the samples up to it.
+		k := n - n%rankEvery
+		m.snapshotRanks(k)
+		m.nextRank = k + rankEvery
 	}
 }
 
-// snapshotRanks runs the post-mortem pipeline over a copy of the first n
-// samples and emits the interim top-k. Copies are taken on the VM
-// goroutine, so the sampler's slices and spawn map are quiescent.
+// snapshotRanks runs the post-mortem pipeline over the first n samples
+// and emits the interim top-k. It runs on the VM goroutine, so the
+// sampler's slices and spawn map are quiescent while Process reads them,
+// and Process keeps nothing of either.
 func (m *monitor) snapshotRanks(n int) {
-	samples := make([]sampler.RawSample, n)
-	copy(samples, m.smp.Samples[:n])
-	spawns := make(map[uint64]sampler.SpawnRecord, len(m.smp.Spawns))
-	for tag, rec := range m.smp.Spawns {
-		spawns[tag] = rec
-	}
-	prof := postmortem.New(m.prog, m.analysis, spawns).Process(samples, m.smp.Threshold(), vm.Stats{})
+	prof := postmortem.New(m.prog, m.analysis, m.smp.Spawns).Process(m.smp.Samples[:n], m.smp.Threshold(), vm.Stats{})
 	rows := prof.DataCentric
 	if len(rows) > rankTop {
 		rows = rows[:rankTop]

@@ -175,6 +175,44 @@ func TestStreamDeliversEvents(t *testing.T) {
 	}
 }
 
+// TestExecuteStreamsIncrementalRanks: a streamed lulesh run emits
+// interim top-k rankings every rankEvery samples, and streaming leaves
+// the final outcome byte-identical to an unstreamed run.
+func TestExecuteStreamsIncrementalRanks(t *testing.T) {
+	var events []Event
+	streamed, err := Execute(&Request{Bench: "lulesh"}, &RunControl{Emit: func(ev Event) { events = append(events, ev) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Execute(&Request{Bench: "lulesh"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if streamed.Text != plain.Text || !bytes.Equal(streamed.ProfileJSON, plain.ProfileJSON) {
+		t.Fatal("streaming changed the outcome")
+	}
+	ranks := 0
+	for _, ev := range events {
+		if ev.Type == "ranks" {
+			ranks++
+			if ev.Samples%rankEvery != 0 {
+				t.Errorf("ranks event at %d samples, not a multiple of %d", ev.Samples, rankEvery)
+			}
+			if len(ev.Ranks) == 0 || len(ev.Ranks) > rankTop {
+				t.Errorf("ranks event carries %d rows, want 1..%d", len(ev.Ranks), rankTop)
+			}
+			for i := 1; i < len(ev.Ranks); i++ {
+				if ev.Ranks[i].Samples > ev.Ranks[i-1].Samples {
+					t.Errorf("ranks not sorted by samples: %+v", ev.Ranks)
+				}
+			}
+		}
+	}
+	if ranks == 0 {
+		t.Fatalf("no ranks event among %d events", len(events))
+	}
+}
+
 // TestStreamSSEFormat: the default stream speaks text/event-stream.
 func TestStreamSSEFormat(t *testing.T) {
 	_, ts := testServer(t)

@@ -21,7 +21,7 @@ func DataCentric(p *postmortem.Profile, limit int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Flat data-centric view (%d samples, threshold %d)\n", p.TotalSamples, p.Threshold)
 	if p.Dropped > 0 {
-		fmt.Fprintf(&b, "WARNING: partial profile — %d records dropped (buffer overrun or corrupt dataset)\n", p.Dropped)
+		fmt.Fprintf(&b, "WARNING: partial profile — %d samples dropped (sample buffer overrun)\n", p.Dropped)
 	}
 	fmt.Fprintf(&b, "%-42s %-28s %8s  %s\n", "Name", "Type", "Blame", "Context")
 	n := 0

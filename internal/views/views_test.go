@@ -12,7 +12,7 @@ import (
 	"repro/internal/views"
 )
 
-func sampleProfile(t *testing.T) *blame.Result {
+func sampleProfile(t *testing.T, mut ...func(*blame.Config)) *blame.Result {
 	t.Helper()
 	res, err := compile.Source("t.mchpl", `
 config const n = 200;
@@ -33,6 +33,9 @@ proc main() {
 	}
 	cfg := blame.DefaultConfig()
 	cfg.Threshold = 997
+	for _, m := range mut {
+		m(&cfg)
+	}
 	r, err := blame.Profile(res.Prog, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,6 +62,28 @@ func TestDataCentricRendering(t *testing.T) {
 	lines := strings.Count(views.DataCentric(r.Profile, 2), "\n")
 	if lines != 4 { // header + columns + 2 rows
 		t.Errorf("limited view has %d lines", lines)
+	}
+}
+
+// A sample buffer smaller than the run's samples drops the rest, and the
+// data-centric view's warning line states exactly how many.
+func TestPartialProfileWarningCountsDropped(t *testing.T) {
+	full := sampleProfile(t)
+	if strings.Contains(views.DataCentric(full.Profile, 10), "WARNING") {
+		t.Error("unbounded profile warns of dropped samples")
+	}
+	keep := full.Profile.TotalSamples / 2
+	r := sampleProfile(t, func(c *blame.Config) { c.SampleBuffer = keep })
+	if r.Profile.TotalSamples != keep {
+		t.Fatalf("bounded profile has %d samples, want %d", r.Profile.TotalSamples, keep)
+	}
+	dropped := full.Profile.TotalSamples - keep
+	if r.Profile.Dropped != uint64(dropped) {
+		t.Fatalf("Dropped = %d, want %d", r.Profile.Dropped, dropped)
+	}
+	want := "\nWARNING: partial profile — " + strconv.Itoa(dropped) + " samples dropped (sample buffer overrun)\n"
+	if out := views.DataCentric(r.Profile, 10); !strings.Contains(out, want) {
+		t.Errorf("view lacks %q:\n%s", want, out)
 	}
 }
 
