@@ -3,7 +3,6 @@ package cost
 import (
 	"errors"
 
-	"repro/internal/comm"
 	"repro/internal/ir"
 	"repro/internal/types"
 	"repro/internal/vm"
@@ -38,11 +37,10 @@ func (c *commTrace) Exec(_ uint64, _ *vm.Task, in *ir.Instr, _ *vm.ArrayVal) {
 	}
 }
 
-func (c *commTrace) Spin(uint64, *vm.Task, *ir.Func)         {}
-func (c *commTrace) PreSpawn(*vm.Task, uint64, *ir.Instr)    {}
-func (c *commTrace) Alloc(uint64, int64, *ir.Var, *ir.Instr) {}
-func (c *commTrace) CommAgg(comm.Event, *vm.Task)            {}
-func (c *commTrace) Comm(bytes int64, _, _ int, owner *ir.Var, _ *vm.Task, in *ir.Instr) {
+func (c *commTrace) Spin(uint64, *vm.Task, *ir.Func) {}
+func (c *commTrace) PreSpawn(*vm.Task, uint64)       {}
+func (c *commTrace) Alloc(uint64, int64, *ir.Var)    {}
+func (c *commTrace) Comm(bytes int64, _, _ int, owner *ir.Var, in *ir.Instr) {
 	name := "?"
 	if owner != nil {
 		name = owner.Name

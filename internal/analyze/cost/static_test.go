@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/analyze/cost"
 	"repro/internal/benchprog"
-	"repro/internal/comm"
 	"repro/internal/compile"
 	"repro/internal/ir"
 	"repro/internal/serve"
@@ -21,10 +20,9 @@ type commCount struct{ perVar map[string]int64 }
 
 func (c *commCount) Exec(uint64, *vm.Task, *ir.Instr, *vm.ArrayVal) {}
 func (c *commCount) Spin(uint64, *vm.Task, *ir.Func)                {}
-func (c *commCount) PreSpawn(*vm.Task, uint64, *ir.Instr)           {}
-func (c *commCount) Alloc(uint64, int64, *ir.Var, *ir.Instr)        {}
-func (c *commCount) CommAgg(comm.Event, *vm.Task)                   {}
-func (c *commCount) Comm(_ int64, _, _ int, owner *ir.Var, _ *vm.Task, _ *ir.Instr) {
+func (c *commCount) PreSpawn(*vm.Task, uint64)                      {}
+func (c *commCount) Alloc(uint64, int64, *ir.Var)                   {}
+func (c *commCount) Comm(_ int64, _, _ int, owner *ir.Var, _ *ir.Instr) {
 	name := "?"
 	if owner != nil {
 		name = owner.Name

@@ -6,7 +6,7 @@ package comm
 // message per contiguous same-home run. Interior elements of the window
 // are home-local and cost nothing; what remains is the block-edge ghost
 // region the static finding predicted.
-func (r *Runtime) prefetchHalo(a Access, site Site) []Event {
+func (r *Runtime) prefetchHalo(a Access, site Site) {
 	k := site.Off
 	if k < 0 {
 		k = -k
@@ -20,8 +20,6 @@ func (r *Runtime) prefetchHalo(a Access, site Site) []Event {
 		hi = a.LayoutLen - 1
 	}
 	c := r.caches[a.Loc]
-	var out []Event
-
 	runStart := int64(-1)
 	runHome := -1
 	emit := func(end int64) {
@@ -29,13 +27,7 @@ func (r *Runtime) prefetchHalo(a Access, site Site) []Event {
 			return
 		}
 		n := end - runStart
-		ev := Event{
-			Kind: EvPrefetch, Var: a.Var, Site: a.Site,
-			From: runHome, To: a.Loc,
-			Bytes: n * a.Bytes, Elems: n,
-		}
-		r.countMessage(&ev)
-		out = append(out, ev)
+		r.send(Event{Kind: EvPrefetch, Var: a.Var, From: runHome, To: a.Loc, Bytes: n * a.Bytes, Elems: n})
 		runStart, runHome = -1, -1
 	}
 	for e := lo; e <= hi; e++ {
@@ -50,41 +42,32 @@ func (r *Runtime) prefetchHalo(a Access, site Site) []Event {
 		if runStart < 0 {
 			runStart, runHome = e, home
 		}
-		out = append(out, c.insert(a.Var, a.Arr, e, home, a.Bytes, false, a.Task, r)...)
+		c.insert(a.Var, a.Arr, e, home, a.Bytes, false, a.Task, r)
 	}
 	emit(hi + 1)
-	return out
 }
 
 // streamFetch coalesces a sequential (or statically strided) remote read
 // run: starting at the missed element, fetch up to runBlock same-home,
 // non-resident elements spaced step apart in one message.
-func (r *Runtime) streamFetch(a Access, step int64) []Event {
+func (r *Runtime) streamFetch(a Access, step int64) {
 	if step <= 0 {
 		step = 1
 	}
 	c := r.caches[a.Loc]
-	var out []Event
 	var n int64
 	for e := a.Elem; e < a.LayoutLen && n < runBlock; e += step {
 		if a.HomeOf(e) != a.Home || c.has(a.Arr, e) {
 			break
 		}
-		out = append(out, c.insert(a.Var, a.Arr, e, a.Home, a.Bytes, false, a.Task, r)...)
+		c.insert(a.Var, a.Arr, e, a.Home, a.Bytes, false, a.Task, r)
 		n++
 	}
 	if n == 0 {
 		// The target itself was unfetchable (shouldn't happen): charge a
 		// plain fetch so the access is never free.
-		ev := Event{Kind: EvFetch, Var: a.Var, Site: a.Site, From: a.Home, To: a.Loc, Bytes: a.Bytes, Elems: 1}
-		r.countMessage(&ev)
-		return append(out, ev)
+		r.send(Event{Kind: EvFetch, Var: a.Var, From: a.Home, To: a.Loc, Bytes: a.Bytes, Elems: 1})
+		return
 	}
-	ev := Event{
-		Kind: EvStream, Var: a.Var, Site: a.Site,
-		From: a.Home, To: a.Loc,
-		Bytes: n * a.Bytes, Elems: n,
-	}
-	r.countMessage(&ev)
-	return append(out, ev)
+	r.send(Event{Kind: EvStream, Var: a.Var, From: a.Home, To: a.Loc, Bytes: n * a.Bytes, Elems: n})
 }

@@ -58,11 +58,10 @@ func (c *cache) get(arr uint64, elem int64) *centry {
 
 // insert adds an element copy, evicting the LRU entry when full. An
 // evicted dirty entry is flushed immediately (one single-element message).
-func (c *cache) insert(v *ir.Var, arr uint64, elem int64, home int, bytes int64, dirty bool, task int, r *Runtime) []Event {
+func (c *cache) insert(v *ir.Var, arr uint64, elem int64, home int, bytes int64, dirty bool, task int, r *Runtime) {
 	if c.cap <= 0 {
-		return nil
+		return
 	}
-	var out []Event
 	for len(c.entries) >= c.cap {
 		back := c.order.Back()
 		if back == nil {
@@ -73,15 +72,12 @@ func (c *cache) insert(v *ir.Var, arr uint64, elem int64, home int, bytes int64,
 		delete(c.entries, victim.key)
 		r.stats.Evictions++
 		if victim.dirty {
-			ev := Event{Kind: EvFlush, Var: victim.v, From: victim.home, To: c.loc(r), Bytes: victim.bytes, Elems: 1}
-			r.countMessage(&ev)
-			out = append(out, ev)
+			r.send(Event{Kind: EvFlush, Var: victim.v, From: victim.home, To: c.loc(r), Bytes: victim.bytes, Elems: 1})
 		}
 	}
 	e := &centry{key: ckey{arr, elem}, v: v, home: home, bytes: bytes, dirty: dirty, task: task}
 	e.lru = c.order.PushFront(e)
 	c.entries[e.key] = e
-	return out
 }
 
 // loc finds this cache's locale index (only needed on the rare eviction
@@ -109,7 +105,7 @@ func (c *cache) drop(arr uint64, elem int64) bool {
 // flushTask writes back the dirty entries owned by task (all tasks when
 // task < 0) as coalesced runs: entries are sorted by (arr, elem) and
 // contiguous same-home, same-array neighbors share one message.
-func (c *cache) flushTask(task, loc int, r *Runtime) []Event {
+func (c *cache) flushTask(task, loc int, r *Runtime) {
 	var dirty []*centry
 	for _, e := range c.entries {
 		if e.dirty && (task < 0 || e.task == task) {
@@ -117,7 +113,7 @@ func (c *cache) flushTask(task, loc int, r *Runtime) []Event {
 		}
 	}
 	if len(dirty) == 0 {
-		return nil
+		return
 	}
 	sort.Slice(dirty, func(i, j int) bool {
 		if dirty[i].key.arr != dirty[j].key.arr {
@@ -125,7 +121,6 @@ func (c *cache) flushTask(task, loc int, r *Runtime) []Event {
 		}
 		return dirty[i].key.elem < dirty[j].key.elem
 	})
-	var out []Event
 	flushRun := func(run []*centry) {
 		if len(run) == 0 {
 			return
@@ -135,12 +130,7 @@ func (c *cache) flushTask(task, loc int, r *Runtime) []Event {
 			bytes += e.bytes
 			e.dirty = false
 		}
-		ev := Event{
-			Kind: EvFlush, Var: run[0].v, From: run[0].home, To: loc,
-			Bytes: bytes, Elems: int64(len(run)),
-		}
-		r.countMessage(&ev)
-		out = append(out, ev)
+		r.send(Event{Kind: EvFlush, Var: run[0].v, From: run[0].home, To: loc, Bytes: bytes, Elems: int64(len(run))})
 	}
 	start := 0
 	for i := 1; i <= len(dirty); i++ {
@@ -153,5 +143,4 @@ func (c *cache) flushTask(task, loc int, r *Runtime) []Event {
 		flushRun(dirty[start:i])
 		start = i
 	}
-	return out
 }

@@ -95,22 +95,19 @@ type Access struct {
 	HomeOf func(int64) int
 }
 
-// EventKind classifies runtime events.
+// EventKind classifies charged messages.
 type EventKind int
 
-// Event kinds. Fetch/Prefetch/Stream/Flush are messages the VM charges;
-// Hit and Invalidate are zero-cost bookkeeping.
+// Message kinds.
 const (
 	EvFetch EventKind = iota
 	EvPrefetch
 	EvStream
 	EvFlush
-	EvHit
-	EvInvalidate
 	// EvGather is one bulk inspector–executor message: all the distinct
 	// remote elements a task's irregular site touched on one home locale,
-	// fetched together (charged; deferred to task end on a schedule
-	// build, immediate on a memoized replay).
+	// fetched together (deferred to task end on a schedule build,
+	// immediate on a memoized replay).
 	EvGather
 	// EvReplicate is one bulk selective-replication message: a remote
 	// home's whole span of a read-mostly array copied to the reader.
@@ -127,10 +124,6 @@ func (k EventKind) String() string {
 		return "stream"
 	case EvFlush:
 		return "flush"
-	case EvHit:
-		return "hit"
-	case EvInvalidate:
-		return "invalidate"
 	case EvGather:
 		return "gather"
 	case EvReplicate:
@@ -139,12 +132,13 @@ func (k EventKind) String() string {
 	return "?"
 }
 
-// Event is one runtime action. From is always the element home, To the
-// accessing locale (matching Listener.Comm's convention).
+// Event is one charged network message. From is always the element
+// home, To the accessing locale (matching Listener.Comm's convention).
+// Cache hits and invalidations send nothing and are counted in Stats
+// only.
 type Event struct {
 	Kind     EventKind
 	Var      *ir.Var
-	Site     uint64
 	From, To int
 	Bytes    int64
 	Elems    int64
@@ -155,15 +149,6 @@ type Event struct {
 	ExtraLat int64
 }
 
-// Message reports whether the event is a charged network message.
-func (e Event) Message() bool {
-	switch e.Kind {
-	case EvFetch, EvPrefetch, EvStream, EvFlush, EvGather, EvReplicate:
-		return true
-	}
-	return false
-}
-
 // Runtime is the per-run aggregation state.
 type Runtime struct {
 	cfg    Config
@@ -172,6 +157,9 @@ type Runtime struct {
 	caches []*cache
 	fault  *fault.Injector
 	insp   *inspector
+	// sent is the message buffer Access, TaskEnd and SweepEnd return;
+	// it is reused by the next call.
+	sent []Event
 	// seq tracks the last element read per (task, array) for sequential
 	// run detection.
 	seq map[seqKey]int64
@@ -213,32 +201,27 @@ func New(cfg Config, plan *Plan) *Runtime {
 	return r
 }
 
-// Plan returns the static plan the runtime was built with (may be nil).
-func (r *Runtime) Plan() *Plan { return r.plan }
-
-// Access models one remote element access and returns the events it
-// produced. The VM charges every Message() event.
+// Access models one remote element access and returns the messages it
+// charged, in send order. The slice is valid until the next call.
 func (r *Runtime) Access(a Access) []Event {
+	r.sent = r.sent[:0]
 	if a.Write {
-		return r.write(a)
+		r.write(a)
+	} else {
+		r.read(a)
 	}
-	return r.read(a)
+	return r.sent
 }
 
-func (r *Runtime) read(a Access) []Event {
+func (r *Runtime) read(a Access) {
 	c := r.caches[a.Loc]
 	defer func() { r.seq[seqKey{a.Task, a.Arr}] = a.Elem }()
-	if c.has(a.Arr, a.Elem) {
+	// A replica or this task's gathered buffer serves a read without a
+	// message, the same as a cache hit.
+	if c.has(a.Arr, a.Elem) || r.insp != nil && r.insp.resident(a) {
 		r.stats.Hits++
 		r.varStats(a.Var).Hits++
-		return []Event{{Kind: EvHit, Var: a.Var, Site: a.Site, From: a.Home, To: a.Loc, Elems: 1}}
-	}
-	if r.insp != nil && r.insp.resident(a) {
-		// Served by a replica or by this task's gathered buffer — no
-		// message, same as a cache hit.
-		r.stats.Hits++
-		r.varStats(a.Var).Hits++
-		return []Event{{Kind: EvHit, Var: a.Var, Site: a.Site, From: a.Home, To: a.Loc, Elems: 1}}
+		return
 	}
 	r.stats.Misses++
 
@@ -247,7 +230,8 @@ func (r *Runtime) read(a Access) []Event {
 		site = r.plan.Sites[a.Site]
 	}
 	if site.Class == SiteIrregular && r.insp != nil {
-		return r.insp.access(r, a)
+		r.insp.access(r, a)
+		return
 	}
 	if site.Class == SiteOwner {
 		// Statically owner-computes, yet the access went remote: the
@@ -256,11 +240,10 @@ func (r *Runtime) read(a Access) []Event {
 		// offset 0 so the miss still amortizes.
 		site.Class, site.Off = SiteHalo, 0
 	}
-	var out []Event
 	if site.Class == SiteHalo && a.InSweep && c.cap > 0 {
-		out = r.prefetchHalo(a, site)
+		r.prefetchHalo(a, site)
 		if c.has(a.Arr, a.Elem) {
-			return out
+			return
 		}
 		// Capacity smaller than the window evicted the target: fall
 		// through to a plain fetch.
@@ -281,50 +264,44 @@ func (r *Runtime) read(a Access) []Event {
 			}
 		}
 		if stream {
-			return append(out, r.streamFetch(a, step)...)
+			r.streamFetch(a, step)
+			return
 		}
 	}
 	// Single-element fetch.
-	ev := Event{Kind: EvFetch, Var: a.Var, Site: a.Site, From: a.Home, To: a.Loc, Bytes: a.Bytes, Elems: 1}
-	r.countMessage(&ev)
-	out = append(out, ev)
-	out = append(out, c.insert(a.Var, a.Arr, a.Elem, a.Home, a.Bytes, false, a.Task, r)...)
-	return out
+	r.send(Event{Kind: EvFetch, Var: a.Var, From: a.Home, To: a.Loc, Bytes: a.Bytes, Elems: 1})
+	c.insert(a.Var, a.Arr, a.Elem, a.Home, a.Bytes, false, a.Task, r)
 }
 
-func (r *Runtime) write(a Access) []Event {
+func (r *Runtime) write(a Access) {
 	// Keep the other locales coherent first.
-	out := r.invalidateOthers(a.Var, a.Site, a.Arr, a.Elem, a.Loc)
+	r.LocalWrite(a.Arr, a.Elem, a.Loc)
 	if r.insp != nil && r.plan != nil && r.plan.Sites[a.Site].Class == SiteIrregular {
 		// Irregular scatter: record for the task-end coalesced
 		// write-back instead of dirtying the cache per element.
-		return append(out, r.insp.accessWrite(r, a)...)
+		r.insp.accessWrite(r, a)
+		return
 	}
 	c := r.caches[a.Loc]
 	if c.cap <= 0 {
 		// Uncached: immediate write-through, one message.
-		ev := Event{Kind: EvFlush, Var: a.Var, Site: a.Site, From: a.Home, To: a.Loc, Bytes: a.Bytes, Elems: 1}
-		r.countMessage(&ev)
-		return append(out, ev)
+		r.send(Event{Kind: EvFlush, Var: a.Var, From: a.Home, To: a.Loc, Bytes: a.Bytes, Elems: 1})
+		return
 	}
 	// Write-back: mark dirty, flush at task end (or on eviction).
 	if e := c.get(a.Arr, a.Elem); e != nil {
 		e.dirty = true
 		e.task = a.Task
 		e.v = a.Var
-		return out
+		return
 	}
-	return append(out, c.insert(a.Var, a.Arr, a.Elem, a.Home, a.Bytes, true, a.Task, r)...)
+	c.insert(a.Var, a.Arr, a.Elem, a.Home, a.Bytes, true, a.Task, r)
 }
 
-// LocalWrite keeps remote caches coherent when a locale writes one of its
-// own (home) elements.
-func (r *Runtime) LocalWrite(v *ir.Var, site uint64, arr uint64, elem int64, loc int) []Event {
-	return r.invalidateOthers(v, site, arr, elem, loc)
-}
-
-func (r *Runtime) invalidateOthers(v *ir.Var, site uint64, arr uint64, elem int64, loc int) []Event {
-	var out []Event
+// LocalWrite keeps the other locales' cached and replicated copies
+// coherent when locale loc writes element elem of arr. Invalidation
+// charges no message, so there is nothing to return.
+func (r *Runtime) LocalWrite(arr uint64, elem int64, loc int) {
 	for li, c := range r.caches {
 		if li == loc {
 			continue
@@ -335,27 +312,26 @@ func (r *Runtime) invalidateOthers(v *ir.Var, site uint64, arr uint64, elem int6
 		}
 		if dropped {
 			r.stats.Invalidations++
-			out = append(out, Event{Kind: EvInvalidate, Var: v, Site: site, From: loc, To: li, Elems: 1})
 		}
 	}
 	if r.insp != nil {
 		r.insp.noteWrite(arr, loc)
 	}
-	return out
 }
 
 // TaskEnd flushes the finished task's dirty entries from its locale's
 // cache as coalesced contiguous same-home runs, one message per run. The
-// entries stay resident (clean).
+// entries stay resident (clean). It returns the messages like Access.
 func (r *Runtime) TaskEnd(task, loc int) []Event {
+	r.sent = r.sent[:0]
 	if loc < 0 || loc >= len(r.caches) {
-		return nil
+		return r.sent
 	}
-	out := r.caches[loc].flushTask(task, loc, r)
+	r.caches[loc].flushTask(task, loc, r)
 	if r.insp != nil {
-		out = append(out, r.insp.taskEnd(r, task)...)
+		r.insp.taskEnd(r, task)
 	}
-	return out
+	return r.sent
 }
 
 // SweepEnd marks a forall barrier: the inspector evaluates its
@@ -363,12 +339,13 @@ func (r *Runtime) TaskEnd(task, loc int) []Event {
 // that crossed ReplicaMinReads, charging one bulk message per remote
 // home. Replication is decided only here — never mid-sweep — so the
 // modeled messages do not depend on how the sweep's tasks interleaved.
-// No-op without the inspector.
+// No-op without the inspector. It returns the messages like Access.
 func (r *Runtime) SweepEnd() []Event {
-	if r.insp == nil {
-		return nil
+	r.sent = r.sent[:0]
+	if r.insp != nil {
+		r.insp.sweepEnd(r)
 	}
-	return r.insp.sweepEnd(r)
+	return r.sent
 }
 
 // Drain flushes every remaining dirty entry (program end); the messages
@@ -376,9 +353,7 @@ func (r *Runtime) SweepEnd() []Event {
 // everything.
 func (r *Runtime) Drain() {
 	for loc, c := range r.caches {
-		for _, ev := range c.flushTask(-1, loc, r) {
-			_ = ev
-		}
+		c.flushTask(-1, loc, r)
 	}
 	if r.insp != nil {
 		r.insp.taskEnd(r, -1)
@@ -401,12 +376,12 @@ func (r *Runtime) varStats(v *ir.Var) *VarStats {
 	return vs
 }
 
-// countMessage records a charged message in the aggregate and per-var
-// statistics, running it through the fault injector first: any injected
-// extra latency lands in ev.ExtraLat for the VM to charge.
-func (r *Runtime) countMessage(ev *Event) {
-	out := r.fault.Send(ev.From, ev.To)
-	ev.ExtraLat = out.ExtraLat
+// send charges one message: it runs the message through the fault
+// injector (any injected extra latency lands in ev.ExtraLat for the VM
+// to charge), records it in the aggregate and per-var statistics and
+// appends it to the buffer the current call returns.
+func (r *Runtime) send(ev Event) {
+	ev.ExtraLat = r.fault.Send(ev.From, ev.To).ExtraLat
 	r.stats.Messages++
 	r.stats.Bytes += ev.Bytes
 	switch ev.Kind {
@@ -430,4 +405,5 @@ func (r *Runtime) countMessage(ev *Event) {
 	vs.Messages++
 	vs.Bytes += ev.Bytes
 	vs.Pairs[Pair{From: ev.From, To: ev.To}]++
+	r.sent = append(r.sent, ev)
 }

@@ -13,14 +13,14 @@ func access(elem int64, loc int, write bool) Access {
 	}
 }
 
-func countMessages(evs []Event) int {
-	n := 0
-	for _, ev := range evs {
-		if ev.Message() {
-			n++
-		}
+// mustHit reads a through r and fails unless the read was served from a
+// resident copy: no message sent and exactly one more Stats.Hits.
+func mustHit(t *testing.T, r *Runtime, a Access, what string) {
+	t.Helper()
+	before := r.Stats().Hits
+	if evs := r.Access(a); len(evs) != 0 || r.Stats().Hits != before+1 {
+		t.Errorf("%s: sent %+v, hits %d -> %d, want no message and one hit", what, evs, before, r.Stats().Hits)
 	}
-	return n
 }
 
 // A halo-classified read miss inside a sweep prefetches the whole ghost
@@ -37,17 +37,14 @@ func TestHaloPrefetchCoalescesGhostWindow(t *testing.T) {
 	a.Site = 42
 	a.InSweep, a.SweepLo, a.SweepHi = true, 8, 15
 	evs := r.Access(a)
-	if got := countMessages(evs); got != 1 {
+	if got := len(evs); got != 1 {
 		t.Fatalf("first halo miss sent %d messages, want 1 prefetch: %+v", got, evs)
 	}
 	if evs[0].Kind != EvPrefetch || evs[0].From != 0 || evs[0].To != 1 {
 		t.Errorf("prefetch event wrong: %+v", evs[0])
 	}
 
-	evs = r.Access(a)
-	if len(evs) != 1 || evs[0].Kind != EvHit {
-		t.Errorf("re-read of prefetched halo element: %+v, want one hit", evs)
-	}
+	mustHit(t, r, a, "re-read of prefetched halo element")
 	if s := r.Stats(); s.Messages != 1 || s.Hits != 1 || s.Prefetches != 1 {
 		t.Errorf("stats = %d msgs / %d hits / %d prefetches, want 1/1/1", s.Messages, s.Hits, s.Prefetches)
 	}
@@ -59,7 +56,7 @@ func TestSequentialReadsStream(t *testing.T) {
 	r := New(Config{Locales: 2}, nil)
 	var msgs int
 	for e := int64(0); e < 8; e++ {
-		msgs += countMessages(r.Access(access(e, 1, false)))
+		msgs += len(r.Access(access(e, 1, false)))
 	}
 	// Elem 0: single fetch. Elem 1: detected sequential, one stream
 	// covering 1..7. Elems 2..7: hits.
@@ -76,12 +73,12 @@ func TestSequentialReadsStream(t *testing.T) {
 func TestWriteBackFlushCoalescesRuns(t *testing.T) {
 	r := New(Config{Locales: 2}, nil)
 	for e := int64(0); e < 4; e++ {
-		if n := countMessages(r.Access(access(e, 1, true))); n != 0 {
+		if n := len(r.Access(access(e, 1, true))); n != 0 {
 			t.Errorf("write-back write to elem %d sent %d messages, want 0", e, n)
 		}
 	}
 	evs := r.TaskEnd(1, 1)
-	if got := countMessages(evs); got != 1 {
+	if got := len(evs); got != 1 {
 		t.Fatalf("task-end flush sent %d messages, want 1 coalesced run: %+v", got, evs)
 	}
 	if evs[0].Kind != EvFlush || evs[0].Elems != 4 || evs[0].Bytes != 32 {
@@ -98,12 +95,12 @@ func TestDisabledCacheWritesThrough(t *testing.T) {
 	r := New(Config{Locales: 2, CacheCap: -1}, nil)
 	for i := 0; i < 3; i++ {
 		evs := r.Access(access(0, 1, false))
-		if countMessages(evs) != 1 || evs[len(evs)-1].Kind != EvFetch {
+		if len(evs) != 1 || evs[0].Kind != EvFetch {
 			t.Errorf("uncached read %d: %+v, want one fetch", i, evs)
 		}
 	}
 	evs := r.Access(access(0, 1, true))
-	if countMessages(evs) != 1 || evs[len(evs)-1].Kind != EvFlush {
+	if len(evs) != 1 || evs[0].Kind != EvFlush {
 		t.Errorf("uncached write: %+v, want one immediate flush", evs)
 	}
 	if s := r.Stats(); s.Hits != 0 {
@@ -116,14 +113,8 @@ func TestDisabledCacheWritesThrough(t *testing.T) {
 func TestLocalWriteInvalidatesRemoteCopies(t *testing.T) {
 	r := New(Config{Locales: 2}, nil)
 	r.Access(access(0, 1, false)) // locale 1 caches elem 0
-	evs := r.LocalWrite(nil, 0, 1, 0, 0)
-	if len(evs) != 1 || evs[0].Kind != EvInvalidate || evs[0].To != 1 {
-		t.Fatalf("local write invalidation: %+v", evs)
-	}
-	if evs[0].Message() {
-		t.Error("invalidation must not be a charged message")
-	}
-	if n := countMessages(r.Access(access(0, 1, false))); n != 1 {
+	r.LocalWrite(1, 0, 0)
+	if n := len(r.Access(access(0, 1, false))); n != 1 {
 		t.Errorf("read after invalidation cost %d messages, want 1", n)
 	}
 	if s := r.Stats(); s.Invalidations != 1 {
@@ -136,17 +127,14 @@ func TestLocalWriteInvalidatesRemoteCopies(t *testing.T) {
 func TestZeroCacheCapMeansDefault(t *testing.T) {
 	r := New(Config{Locales: 2, CacheCap: 0}, nil)
 	r.Access(access(0, 1, false))
-	evs := r.Access(access(0, 1, false))
-	if len(evs) != 1 || evs[0].Kind != EvHit {
-		t.Errorf("default-capacity cache did not hit on re-read: %+v", evs)
-	}
+	mustHit(t, r, access(0, 1, false), "re-read under the default capacity")
 }
 
 // Capacity pressure evicts strict-LRU; a dirty victim is flushed in its
 // own single-element message.
 func TestEvictionFlushesDirtyVictim(t *testing.T) {
 	r := New(Config{Locales: 2, CacheCap: 2}, nil)
-	if n := countMessages(r.Access(access(0, 1, true))); n != 0 {
+	if n := len(r.Access(access(0, 1, true))); n != 0 {
 		t.Fatalf("dirty insert cost %d messages", n)
 	}
 	r.Access(access(2, 1, false)) // clean; cache now full
@@ -164,5 +152,28 @@ func TestEvictionFlushesDirtyVictim(t *testing.T) {
 	}
 	if s := r.Stats(); s.Evictions == 0 {
 		t.Error("no evictions recorded")
+	}
+}
+
+// TestHitAllocatesNothing: once warm, a read served from the cache and a
+// local write that invalidates no copy allocate nothing. Both run on
+// every distributed access of an aggregated run.
+func TestHitAllocatesNothing(t *testing.T) {
+	r := New(Config{Locales: 2}, nil)
+	a := access(9, 0, false) // home: locale 1
+	r.Access(a)              // miss: fetched, now resident on locale 0
+	hits := r.Stats().Hits
+	if n := testing.AllocsPerRun(100, func() { r.Access(a) }); n != 0 {
+		t.Errorf("cache hit allocated %.1f times per read, want 0", n)
+	}
+	if r.Stats().Hits == hits {
+		t.Fatal("re-reads of a resident element did not hit")
+	}
+	// Locale 0 writes its own element 3, which no other locale holds.
+	if n := testing.AllocsPerRun(100, func() { r.LocalWrite(1, 3, 0) }); n != 0 {
+		t.Errorf("local write with nothing to invalidate allocated %.1f times, want 0", n)
+	}
+	if inv := r.Stats().Invalidations; inv != 0 {
+		t.Errorf("invalidations = %d, want 0", inv)
 	}
 }

@@ -57,7 +57,7 @@ func TestDupDelayPreservesEventStream(t *testing.T) {
 	// Every message carries the delay (+3 units) plus the duplicate
 	// suppression unit (+1).
 	for _, ev := range faultEvs {
-		if ev.Message() && ev.ExtraLat != 3+1 {
+		if ev.ExtraLat != 3+1 {
 			t.Errorf("message ExtraLat = %d, want 4: %+v", ev.ExtraLat, ev)
 		}
 	}
@@ -127,17 +127,11 @@ func TestLossRetryPolicyViaConfig(t *testing.T) {
 	inj.SetRetry(fault.RetryPolicy{MaxRetries: 2, BackoffBase: 1, BackoffCap: 4, TimeoutUnits: 8})
 	r := New(Config{Locales: 2, Fault: inj}, nil)
 	evs := r.Access(access(0, 1, false))
-	if n := countMessages(evs); n != 1 {
-		t.Fatalf("lossy fetch charged %d messages, want 1", n)
+	if len(evs) != 1 {
+		t.Fatalf("lossy fetch charged %d messages, want 1", len(evs))
 	}
-	var fetch Event
-	for _, ev := range evs {
-		if ev.Message() {
-			fetch = ev
-		}
-	}
-	if fetch.ExtraLat != 13 {
-		t.Errorf("ExtraLat = %d, want 13 (backoff 1+1 + 2+1 + timeout 8)", fetch.ExtraLat)
+	if fetch := evs[0]; fetch.ExtraLat != 13 {
+		t.Errorf("ExtraLat = %d, want 13 (backoff 1+1 + 2+1 + timeout 8)", evs[0].ExtraLat)
 	}
 	if st := inj.Stats(); st.Retries != 2 || st.Timeouts != 1 {
 		t.Errorf("stats = %+v", st)

@@ -111,7 +111,6 @@ type arrState struct {
 	reads     int64
 	v         *ir.Var
 	bytes     int64
-	site      uint64
 	layoutLen int64
 	homeOf    func(int64) int
 }
@@ -156,7 +155,7 @@ func (ins *inspector) resident(a Access) bool {
 // threshold), replay a memoized schedule when one covers this sweep
 // window, else record the element for the task-end gather (no message
 // now — deferred).
-func (ins *inspector) access(r *Runtime, a Access) []Event {
+func (ins *inspector) access(r *Runtime, a Access) {
 	sk := repKey{a.Loc, a.Arr}
 	st := ins.arrs[sk]
 	if st == nil {
@@ -164,7 +163,7 @@ func (ins *inspector) access(r *Runtime, a Access) []Event {
 		ins.arrs[sk] = st
 	}
 	st.reads++
-	st.v, st.bytes, st.site = a.Var, a.Bytes, a.Site
+	st.v, st.bytes = a.Var, a.Bytes
 	st.layoutLen, st.homeOf = a.LayoutLen, a.HomeOf
 	k := recKey{a.Task, a.Site, a.Arr}
 	rec := ins.recs[k]
@@ -178,19 +177,18 @@ func (ins *inspector) access(r *Runtime, a Access) []Event {
 		ins.recs[k] = rec
 		if a.InSweep {
 			if sc, ok := ins.scheds[schedKey{a.Site, a.Arr, a.SweepLo, a.SweepHi, a.LayoutLen}]; ok {
-				out := ins.replay(r, a, rec, sc)
+				ins.replay(r, a, rec, sc)
 				if !rec.have.Contains(a.Elem) {
 					// The replayed schedule missed this element (the
 					// index data changed since it was built): record the
 					// delta; finalize merges it back into the memo.
 					rec.elems[a.Elem] = a.Home
 				}
-				return out
+				return
 			}
 		}
 	}
 	rec.elems[a.Elem] = a.Home
-	return nil
 }
 
 // accessWrite handles a write at an irregular site (scatter): the
@@ -199,7 +197,7 @@ func (ins *inspector) access(r *Runtime, a Access) []Event {
 // gather path. Replication never triggers on writes, and coherence
 // (replica/cache invalidation, the read-counter reset) already ran in
 // invalidateOthers before this is called.
-func (ins *inspector) accessWrite(r *Runtime, a Access) []Event {
+func (ins *inspector) accessWrite(r *Runtime, a Access) {
 	k := recKey{a.Task, a.Site, a.Arr}
 	rec := ins.recs[k]
 	if rec == nil {
@@ -212,26 +210,24 @@ func (ins *inspector) accessWrite(r *Runtime, a Access) []Event {
 		ins.recs[k] = rec
 		if a.InSweep {
 			if sc, ok := ins.scheds[schedKey{a.Site, a.Arr, a.SweepLo, a.SweepHi, a.LayoutLen}]; ok {
-				out := ins.replay(r, a, rec, sc)
+				ins.replay(r, a, rec, sc)
 				if !rec.have.Contains(a.Elem) {
 					rec.elems[a.Elem] = a.Home
 				}
-				return out
+				return
 			}
 		}
 	}
-	if rec.have.Contains(a.Elem) {
-		return nil // covered by the replayed schedule's bulk flush
+	if !rec.have.Contains(a.Elem) { // else covered by the replayed schedule's bulk flush
+		rec.elems[a.Elem] = a.Home
 	}
-	rec.elems[a.Elem] = a.Home
-	return nil
 }
 
 // replay charges a memoized schedule's bulk messages immediately and
 // seeds the task's buffer with the schedule's residency. For gathers,
 // elements the locale's replica already holds are not re-fetched;
 // scatters always reach the home locale in full.
-func (ins *inspector) replay(r *Runtime, a Access, rec *recording, sc *schedule) []Event {
+func (ins *inspector) replay(r *Runtime, a Access, rec *recording, sc *schedule) {
 	r.stats.ScheduleHits++
 	rec.replayed = true
 	kind := EvGather
@@ -260,20 +256,11 @@ func (ins *inspector) replay(r *Runtime, a Access, rec *recording, sc *schedule)
 		homes = append(homes, h)
 	}
 	sort.Ints(homes)
-	var out []Event
 	for _, h := range homes {
-		n := perHome[h]
-		if n == 0 {
-			continue
+		if n := perHome[h]; n != 0 {
+			r.send(Event{Kind: kind, Var: a.Var, From: h, To: a.Loc, Bytes: n * a.Bytes, Elems: n})
 		}
-		ev := Event{
-			Kind: kind, Var: a.Var, Site: a.Site,
-			From: h, To: a.Loc, Bytes: n * a.Bytes, Elems: n,
-		}
-		r.countMessage(&ev)
-		out = append(out, ev)
 	}
-	return out
 }
 
 // sweepEnd is the forall-barrier hook: every (locale, array) whose
@@ -282,7 +269,7 @@ func (ins *inspector) replay(r *Runtime, a Access, rec *recording, sc *schedule)
 // miss that crossed — is what makes the trigger independent of task
 // interleaving: mid-sweep state is schedule-dependent, barrier state is
 // not.
-func (ins *inspector) sweepEnd(r *Runtime) []Event {
+func (ins *inspector) sweepEnd(r *Runtime) {
 	var keys []repKey
 	for k, st := range ins.arrs {
 		if st.reads < r.cfg.ReplicaMinReads || st.layoutLen <= 0 || st.homeOf == nil {
@@ -299,20 +286,17 @@ func (ins *inspector) sweepEnd(r *Runtime) []Event {
 		}
 		return keys[i].arr < keys[j].arr
 	})
-	var out []Event
 	for _, k := range keys {
-		out = append(out, ins.replicate(r, k, ins.arrs[k])...)
+		ins.replicate(r, k, ins.arrs[k])
 	}
-	return out
 }
 
 // replicate copies the array's remote spans wholesale to the reading
 // locale: one bulk message per remote home.
-func (ins *inspector) replicate(r *Runtime, k repKey, st *arrState) []Event {
+func (ins *inspector) replicate(r *Runtime, k repKey, st *arrState) {
 	rs := &SpanSet{}
 	ins.replicas[k] = rs
 	st.reads = 0
-	var out []Event
 	lo := int64(0)
 	for lo < st.layoutLen {
 		h := st.homeOf(lo)
@@ -322,12 +306,7 @@ func (ins *inspector) replicate(r *Runtime, k repKey, st *arrState) []Event {
 		}
 		if h != k.loc {
 			n := hi - lo + 1
-			ev := Event{
-				Kind: EvReplicate, Var: st.v, Site: st.site,
-				From: h, To: k.loc, Bytes: n * st.bytes, Elems: n,
-			}
-			r.countMessage(&ev)
-			out = append(out, ev)
+			r.send(Event{Kind: EvReplicate, Var: st.v, From: h, To: k.loc, Bytes: n * st.bytes, Elems: n})
 			rs.Add(lo, hi)
 		}
 		lo = hi + 1
@@ -336,7 +315,6 @@ func (ins *inspector) replicate(r *Runtime, k repKey, st *arrState) []Event {
 		ins.repArrs[k.arr] = true
 		r.stats.ReplicatedVars++
 	}
-	return out
 }
 
 // invalidate drops elem from locale li's replica of arr (a write kept
@@ -363,15 +341,12 @@ func (ins *inspector) noteWrite(arr uint64, loc int) {
 // taskEnd finalizes every recording owned by task (all tasks when
 // task < 0): builds the coalesced schedule, charges one bulk gather per
 // remote home, and memoizes sweep-windowed schedules for replay.
-func (ins *inspector) taskEnd(r *Runtime, task int) []Event {
+func (ins *inspector) taskEnd(r *Runtime, task int) {
 	var keys []recKey
 	for k := range ins.recs {
 		if task < 0 || k.task == task {
 			keys = append(keys, k)
 		}
-	}
-	if len(keys) == 0 {
-		return nil
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].site != keys[j].site {
@@ -382,21 +357,19 @@ func (ins *inspector) taskEnd(r *Runtime, task int) []Event {
 		}
 		return keys[i].task < keys[j].task
 	})
-	var out []Event
 	for _, k := range keys {
 		rec := ins.recs[k]
 		delete(ins.recs, k)
-		out = append(out, ins.finalize(r, k, rec)...)
+		ins.finalize(r, k, rec)
 	}
-	return out
 }
 
-// finalize turns one recording into charged gather events and updates
+// finalize turns one recording into charged gather messages and updates
 // the memoized schedule. Only the freshly recorded elements are charged
 // (a replayed prefix was already charged at replay time).
-func (ins *inspector) finalize(r *Runtime, k recKey, rec *recording) []Event {
+func (ins *inspector) finalize(r *Runtime, k recKey, rec *recording) {
 	if len(rec.elems) == 0 {
-		return nil
+		return
 	}
 	fresh := buildSchedule(rec.elems)
 	r.stats.InspectorBuilds++
@@ -404,18 +377,10 @@ func (ins *inspector) finalize(r *Runtime, k recKey, rec *recording) []Event {
 	if rec.write {
 		kind = EvFlush
 	}
-	var out []Event
 	for _, m := range fresh.msgs {
-		if m.home == rec.loc {
-			continue
+		if m.home != rec.loc {
+			r.send(Event{Kind: kind, Var: rec.v, From: m.home, To: rec.loc, Bytes: m.elems * rec.bytes, Elems: m.elems})
 		}
-		ev := Event{
-			Kind: kind, Var: rec.v, Site: k.site,
-			From: m.home, To: rec.loc,
-			Bytes: m.elems * rec.bytes, Elems: m.elems,
-		}
-		r.countMessage(&ev)
-		out = append(out, ev)
 	}
 	if rec.inSweep {
 		key := schedKey{k.site, k.arr, rec.sweepLo, rec.sweepHi, rec.layoutLen}
@@ -428,7 +393,6 @@ func (ins *inspector) finalize(r *Runtime, k recKey, rec *recording) []Event {
 			ins.scheds[key] = fresh
 		}
 	}
-	return out
 }
 
 // buildSchedule sorts, run-length merges and aggregates an element→home

@@ -28,7 +28,7 @@ func irregularPlan() *Plan {
 func TestInspectorDedupsAndGathersAtTaskEnd(t *testing.T) {
 	r := New(Config{Locales: 2, Inspector: true}, irregularPlan())
 	for _, e := range []int64{9, 11, 9, 10, 11} {
-		if n := countMessages(r.Access(irregular(e, 1))); n != 0 {
+		if n := len(r.Access(irregular(e, 1))); n != 0 {
 			t.Fatalf("inspected read of elem %d sent %d messages, want 0 (deferred)", e, n)
 		}
 	}
@@ -37,7 +37,7 @@ func TestInspectorDedupsAndGathersAtTaskEnd(t *testing.T) {
 		t.Errorf("misses/hits = %d/%d, want 3/2 (duplicate indices hit the buffer)", s.Misses, s.Hits)
 	}
 	evs := r.TaskEnd(1, 0)
-	if got := countMessages(evs); got != 1 {
+	if got := len(evs); got != 1 {
 		t.Fatalf("task end sent %d messages, want 1 gather: %+v", got, evs)
 	}
 	if ev := evs[0]; ev.Kind != EvGather || ev.Elems != 3 || ev.Bytes != 24 || ev.From != 1 || ev.To != 0 {
@@ -60,7 +60,7 @@ func TestInspectorMemoizesScheduleAcrossTasks(t *testing.T) {
 	r.TaskEnd(1, 0)
 
 	evs := r.Access(irregular(9, 2))
-	if got := countMessages(evs); got != 1 {
+	if got := len(evs); got != 1 {
 		t.Fatalf("replay sent %d messages, want 1 gather: %+v", got, evs)
 	}
 	if ev := evs[0]; ev.Kind != EvGather || ev.Elems != 3 {
@@ -71,12 +71,9 @@ func TestInspectorMemoizesScheduleAcrossTasks(t *testing.T) {
 		t.Errorf("schedule hits = %d, want 1", s.ScheduleHits)
 	}
 	for _, e := range []int64{10, 12} {
-		evs := r.Access(irregular(e, 2))
-		if len(evs) != 1 || evs[0].Kind != EvHit {
-			t.Errorf("replayed element %d: %+v, want one hit", e, evs)
-		}
+		mustHit(t, r, irregular(e, 2), "replayed element")
 	}
-	if evs := r.TaskEnd(2, 0); countMessages(evs) != 0 {
+	if evs := r.TaskEnd(2, 0); len(evs) != 0 {
 		t.Errorf("replaying task's end sent messages: %+v", evs)
 	}
 	if s.InspectorBuilds != 1 {
@@ -99,7 +96,7 @@ func TestInspectorEmptyAndAllLocalSchedules(t *testing.T) {
 	for _, e := range []int64{2, 3} {
 		r.Access(irregular(e, 1))
 	}
-	if evs := r.TaskEnd(1, 0); countMessages(evs) != 0 {
+	if evs := r.TaskEnd(1, 0); len(evs) != 0 {
 		t.Errorf("all-local schedule sent messages: %+v", evs)
 	}
 	if s := r.Stats(); s.Gathers != 0 {
@@ -119,22 +116,16 @@ func TestInspectorCoalescesScatterWrites(t *testing.T) {
 		return a
 	}
 	for _, e := range []int64{9, 11, 9, 10} {
-		if n := countMessages(r.Access(scatter(e, 1))); n != 0 {
+		if n := len(r.Access(scatter(e, 1))); n != 0 {
 			t.Fatalf("inspected write of elem %d sent %d messages, want 0 (deferred)", e, n)
 		}
 	}
 	evs := r.TaskEnd(1, 0)
-	if got := countMessages(evs); got != 1 {
+	if got := len(evs); got != 1 {
 		t.Fatalf("task end sent %d messages, want 1 bulk flush: %+v", got, evs)
 	}
-	var flush *Event
-	for i := range evs {
-		if evs[i].Message() {
-			flush = &evs[i]
-		}
-	}
-	if flush.Kind != EvFlush || flush.Elems != 3 || flush.Bytes != 24 || flush.From != 1 || flush.To != 0 {
-		t.Errorf("flush event wrong: %+v", *flush)
+	if flush := evs[0]; flush.Kind != EvFlush || flush.Elems != 3 || flush.Bytes != 24 || flush.From != 1 || flush.To != 0 {
+		t.Errorf("flush event wrong: %+v", flush)
 	}
 	s := r.Stats()
 	if s.InspectorBuilds != 1 || s.Flushes != 1 || s.FlushedElems != 3 {
@@ -143,15 +134,15 @@ func TestInspectorCoalescesScatterWrites(t *testing.T) {
 	}
 	// Task 2 over the same window: the memoized scatter schedule replays
 	// as one immediate bulk flush; later writes and its task end are free.
-	if n := countMessages(r.Access(scatter(9, 2))); n != 1 {
+	if n := len(r.Access(scatter(9, 2))); n != 1 {
 		t.Fatalf("first write of task 2 sent %d messages, want 1 replayed flush", n)
 	}
 	for _, e := range []int64{10, 11} {
-		if n := countMessages(r.Access(scatter(e, 2))); n != 0 {
+		if n := len(r.Access(scatter(e, 2))); n != 0 {
 			t.Fatalf("replayed write of elem %d sent %d messages, want 0", e, n)
 		}
 	}
-	if evs := r.TaskEnd(2, 0); countMessages(evs) != 0 {
+	if evs := r.TaskEnd(2, 0); len(evs) != 0 {
 		t.Errorf("task 2 end re-sent messages: %+v", evs)
 	}
 	if s.ScheduleHits != 1 || s.InspectorBuilds != 1 {
@@ -169,7 +160,7 @@ func TestInspectorReplicatesReadMostlyAndInvalidatesOnWrite(t *testing.T) {
 		r.Access(irregular(e, 1))
 	}
 	r.TaskEnd(1, 0)
-	if evs := r.SweepEnd(); countMessages(evs) != 0 {
+	if evs := r.SweepEnd(); len(evs) != 0 {
 		t.Fatalf("barrier below the read threshold replicated: %+v", evs)
 	}
 
@@ -177,12 +168,12 @@ func TestInspectorReplicatesReadMostlyAndInvalidatesOnWrite(t *testing.T) {
 	// memoized schedule — one bulk gather — since no replica exists
 	// yet). Replication itself waits for the barrier, which copies the
 	// whole remote span [8, 15] in one message.
-	if evs := r.Access(irregular(12, 2)); countMessages(evs) != 1 {
+	if evs := r.Access(irregular(12, 2)); len(evs) != 1 {
 		t.Fatalf("threshold-crossing read sent %d messages, want 1 replayed gather: %+v",
-			countMessages(evs), evs)
+			len(evs), evs)
 	}
 	evs := r.SweepEnd()
-	if got := countMessages(evs); got != 1 {
+	if got := len(evs); got != 1 {
 		t.Fatalf("barrier replication sent %d messages, want 1: %+v", got, evs)
 	}
 	if ev := evs[0]; ev.Kind != EvReplicate || ev.Elems != 8 || ev.Bytes != 64 || ev.From != 1 || ev.To != 0 {
@@ -193,25 +184,18 @@ func TestInspectorReplicatesReadMostlyAndInvalidatesOnWrite(t *testing.T) {
 		t.Errorf("replication stats = %d vars / %d msgs / %d elems, want 1/1/8",
 			s.ReplicatedVars, s.Replications, s.ReplicatedElems)
 	}
-	if evs := r.Access(irregular(13, 2)); len(evs) != 1 || evs[0].Kind != EvHit {
-		t.Errorf("read after replication: %+v, want one hit", evs)
-	}
+	mustHit(t, r, irregular(13, 2), "read after replication")
 
 	// Home locale writes element 13: the replica copy is invalidated.
-	inv := r.LocalWrite(nil, 7, 1, 13, 1)
-	if len(inv) != 1 || inv[0].Kind != EvInvalidate || inv[0].To != 0 {
-		t.Fatalf("write-after-replicate invalidation: %+v", inv)
-	}
+	r.LocalWrite(1, 13, 1)
 	if s.Invalidations != 1 {
 		t.Errorf("invalidations = %d, want 1", s.Invalidations)
 	}
 	// 13 now misses (recorded again); its neighbors still hit.
-	if n := countMessages(r.Access(irregular(13, 2))); n != 0 {
+	if n := len(r.Access(irregular(13, 2))); n != 0 {
 		t.Errorf("re-read of invalidated element sent %d messages, want 0 (re-recorded)", n)
 	}
-	if evs := r.Access(irregular(14, 2)); len(evs) != 1 || evs[0].Kind != EvHit {
-		t.Errorf("unwritten replica element: %+v, want one hit", evs)
-	}
+	mustHit(t, r, irregular(14, 2), "unwritten replica element")
 }
 
 // The inspector line renders only when an inspector counter is nonzero,

@@ -8,7 +8,6 @@
 package sampler
 
 import (
-	"repro/internal/comm"
 	"repro/internal/ir"
 	"repro/internal/pmu"
 	"repro/internal/vm"
@@ -231,7 +230,7 @@ func (s *Sampler) Spin(cycles uint64, t *vm.Task, fn *ir.Func) {
 
 // PreSpawn implements vm.Listener: record the unique spawn tag and the
 // parent's pre-spawn stack walk.
-func (s *Sampler) PreSpawn(parent *vm.Task, tag uint64, site *ir.Instr) {
+func (s *Sampler) PreSpawn(parent *vm.Task, tag uint64) {
 	s.StackWalks++
 	s.Spawns[tag] = SpawnRecord{
 		ParentTag: parent.Tag,
@@ -240,7 +239,7 @@ func (s *Sampler) PreSpawn(parent *vm.Task, tag uint64, site *ir.Instr) {
 }
 
 // Alloc implements vm.Listener.
-func (s *Sampler) Alloc(addr uint64, size int64, v *ir.Var, site *ir.Instr) {
+func (s *Sampler) Alloc(addr uint64, size int64, v *ir.Var) {
 	name := ""
 	if v != nil {
 		name = v.Name
@@ -249,14 +248,9 @@ func (s *Sampler) Alloc(addr uint64, size int64, v *ir.Var, site *ir.Instr) {
 }
 
 // Comm implements vm.Listener.
-func (s *Sampler) Comm(bytes int64, from, to int, owner *ir.Var, t *vm.Task, in *ir.Instr) {
+func (s *Sampler) Comm(bytes int64, from, to int, owner *ir.Var, _ *ir.Instr) {
 	s.Comms = append(s.Comms, CommRecord{Bytes: bytes, From: from, To: to, Var: owner})
 }
-
-// CommAgg implements vm.Listener. The comm view reads the aggregation
-// runtime's totals from the run's vm.Stats.Agg, so the sampler records
-// nothing per event.
-func (s *Sampler) CommAgg(ev comm.Event, t *vm.Task) {}
 
 // DataSetBytes is the paper's estimate of the raw profile's size on disk
 // (overhead table in §V: "the sizes of the datasets generated during

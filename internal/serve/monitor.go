@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/postmortem"
@@ -10,11 +9,12 @@ import (
 )
 
 // monitor is the streaming wrapper the server interposes between the VM
-// and the sampler (blame.Config.Wrap). It delegates every callback to
-// the real sampler, so the final profile is untouched, and additionally
+// and the sampler (blame.Config.Wrap). It embeds the real sampler, so
+// every callback reaches it and the final profile is untouched, and on
+// each Exec and Spin additionally
 //
 //   - emits coarse progress events (cycles executed, samples collected)
-//     every progressEvery cycles, and
+//     every progressSamples samples' worth of cycles, and
 //   - every rankEvery samples, runs the post-mortem processor over the
 //     samples up to that count and emits the current top-k data-centric
 //     blame ranking — the "incremental blame ranks" a streaming client
@@ -24,44 +24,45 @@ import (
 // one goroutine and the monitor needs no locking of its own; emit must
 // be non-blocking (the session fan-out drops events on slow consumers).
 type monitor struct {
+	*sampler.Sampler
 	prog     *ir.Program
 	analysis *core.Analysis
-	smp      *sampler.Sampler
 	emit     func(Event)
 
-	cycles       uint64
-	nextProgress uint64
-	nextRank     int
+	cycles        uint64
+	progressEvery uint64
+	nextProgress  uint64
+	nextRank      int
 }
 
-// progressEvery is the cycle interval between progress events: large
-// enough to be negligible next to instruction dispatch, small enough
-// for tens of events on the multi-second simulated runs.
-const progressEvery = 10_000_000
-
 // rankEvery is the sample interval between incremental rankings, and
-// rankTop how many rows one carries.
+// rankTop how many rows one carries. A progress event goes out every
+// progressSamples samples' worth of cycles (progressSamples times the
+// sampling threshold), so a run sends about four between rankings
+// whatever its length: a calibrated run of ~4000 samples sends ~8.
 const (
-	rankEvery = 2000
-	rankTop   = 5
+	rankEvery       = 2000
+	rankTop         = 5
+	progressSamples = rankEvery / 4
 )
 
 func newMonitor(prog *ir.Program, analysis *core.Analysis, smp *sampler.Sampler, emit func(Event)) *monitor {
+	every := progressSamples * smp.Threshold()
 	return &monitor{
-		prog: prog, analysis: analysis, smp: smp, emit: emit,
-		nextProgress: progressEvery, nextRank: rankEvery,
+		Sampler: smp, prog: prog, analysis: analysis, emit: emit,
+		progressEvery: every, nextProgress: every, nextRank: rankEvery,
 	}
 }
 
 func (m *monitor) tick(cycles uint64) {
 	m.cycles += cycles
 	if m.cycles >= m.nextProgress {
-		m.emit(Event{Type: "progress", Samples: len(m.smp.Samples), Cycles: m.cycles})
+		m.emit(Event{Type: "progress", Samples: len(m.Samples), Cycles: m.cycles})
 		for m.nextProgress <= m.cycles {
-			m.nextProgress += progressEvery
+			m.nextProgress += m.progressEvery
 		}
 	}
-	if n := len(m.smp.Samples); n >= m.nextRank {
+	if n := len(m.Samples); n >= m.nextRank {
 		// One instruction can take several samples, so n may overshoot
 		// the boundary; rank exactly the samples up to it.
 		k := n - n%rankEvery
@@ -75,7 +76,7 @@ func (m *monitor) tick(cycles uint64) {
 // sampler's slices and spawn map are quiescent while Process reads them,
 // and Process keeps nothing of either.
 func (m *monitor) snapshotRanks(n int) {
-	prof := postmortem.New(m.prog, m.analysis, m.smp.Spawns).Process(m.smp.Samples[:n], m.smp.Threshold(), vm.Stats{})
+	prof := postmortem.New(m.prog, m.analysis, m.Spawns).Process(m.Samples[:n], m.Threshold(), vm.Stats{})
 	rows := prof.DataCentric
 	if len(rows) > rankTop {
 		rows = rows[:rankTop]
@@ -88,27 +89,11 @@ func (m *monitor) snapshotRanks(n int) {
 }
 
 func (m *monitor) Exec(cycles uint64, t *vm.Task, in *ir.Instr, acc *vm.ArrayVal) {
-	m.smp.Exec(cycles, t, in, acc)
+	m.Sampler.Exec(cycles, t, in, acc)
 	m.tick(cycles)
 }
 
 func (m *monitor) Spin(cycles uint64, t *vm.Task, fn *ir.Func) {
-	m.smp.Spin(cycles, t, fn)
+	m.Sampler.Spin(cycles, t, fn)
 	m.tick(cycles)
-}
-
-func (m *monitor) PreSpawn(parent *vm.Task, tag uint64, site *ir.Instr) {
-	m.smp.PreSpawn(parent, tag, site)
-}
-
-func (m *monitor) Alloc(addr uint64, size int64, v *ir.Var, site *ir.Instr) {
-	m.smp.Alloc(addr, size, v, site)
-}
-
-func (m *monitor) Comm(bytes int64, from, to int, owner *ir.Var, t *vm.Task, in *ir.Instr) {
-	m.smp.Comm(bytes, from, to, owner, t, in)
-}
-
-func (m *monitor) CommAgg(ev comm.Event, t *vm.Task) {
-	m.smp.CommAgg(ev, t)
 }

@@ -176,8 +176,9 @@ func TestStreamDeliversEvents(t *testing.T) {
 }
 
 // TestExecuteStreamsIncrementalRanks: a streamed lulesh run emits
-// interim top-k rankings every rankEvery samples, and streaming leaves
-// the final outcome byte-identical to an unstreamed run.
+// interim top-k rankings every rankEvery samples and progress events
+// with growing cycle counts, and streaming leaves the final outcome
+// byte-identical to an unstreamed run.
 func TestExecuteStreamsIncrementalRanks(t *testing.T) {
 	var events []Event
 	streamed, err := Execute(&Request{Bench: "lulesh"}, &RunControl{Emit: func(ev Event) { events = append(events, ev) }})
@@ -191,8 +192,16 @@ func TestExecuteStreamsIncrementalRanks(t *testing.T) {
 	if streamed.Text != plain.Text || !bytes.Equal(streamed.ProfileJSON, plain.ProfileJSON) {
 		t.Fatal("streaming changed the outcome")
 	}
-	ranks := 0
+	ranks, progress := 0, 0
+	var lastCycles uint64
 	for _, ev := range events {
+		if ev.Type == "progress" {
+			progress++
+			if ev.Cycles <= lastCycles {
+				t.Errorf("progress event at %d cycles after one at %d", ev.Cycles, lastCycles)
+			}
+			lastCycles = ev.Cycles
+		}
 		if ev.Type == "ranks" {
 			ranks++
 			if ev.Samples%rankEvery != 0 {
@@ -210,6 +219,9 @@ func TestExecuteStreamsIncrementalRanks(t *testing.T) {
 	}
 	if ranks == 0 {
 		t.Fatalf("no ranks event among %d events", len(events))
+	}
+	if progress == 0 {
+		t.Fatalf("no progress event among %d events", len(events))
 	}
 }
 

@@ -301,7 +301,7 @@ func (m *VM) step(t *Task) bool {
 		if at != nil {
 			elemT = at.Elem
 		}
-		arr, extra := m.allocArray(t, elemT, dv.Dom, inner, in.Dst, in)
+		arr, extra := m.allocArray(t, elemT, dv.Dom, inner, in.Dst)
 		cycles += extra
 		m.bindCell(t, in.Dst, Value{K: KArray, Arr: arr})
 
@@ -311,7 +311,7 @@ func (m *VM) step(t *Task) bool {
 			m.fail(t, in, "new on non-class type")
 			return false
 		}
-		obj, extra := m.allocInstance(t, rt, in.Dst, in)
+		obj, extra := m.allocInstance(t, rt, in.Dst)
 		cycles += extra
 		ov := Value{K: KClass, Obj: obj}
 		m.assignVar(t, in.Dst, &ov, in)
@@ -578,7 +578,7 @@ func (m *VM) cloneArray(src *ArrayVal) (*ArrayVal, uint64) {
 		Dom: src.Dom, Layout: src.Dom, ElemT: src.ElemT,
 		Data: make([]Value, src.Dom.Size()), LocaleID: src.LocaleID,
 	}
-	m.registerAlloc(out, nil, nil)
+	m.registerAlloc(out, nil)
 	si := make([]int64, src.Dom.Rank)
 	for p := int64(0); p < src.Dom.Size(); p++ {
 		src.Dom.Unlinear(p, si)
@@ -786,15 +786,34 @@ func (m *VM) commCost(t *Task, arr *ArrayVal, idx []int64, bytes int64, write bo
 		return 0
 	}
 	m.noteOwnerRemote(t)
+	extraLat := m.fault.Send(home, t.Locale).ExtraLat
+	return m.send(bytes, home, t.Locale, arr.OwnerVar, m.currentInstr(t), extraLat)
+}
+
+// send charges one data message: it counts the message in Stats, reports
+// it to the listener and returns its cycles, CommLatency for each of the
+// 1+extraLat attempts plus CommPerByte per byte. Every data message of a
+// run, direct or decided by the aggregation runtime, goes through here.
+func (m *VM) send(bytes int64, from, to int, owner *ir.Var, in *ir.Instr, extraLat int64) uint64 {
 	m.Stats.CommMessages++
 	m.Stats.CommBytes += bytes
-	in := m.currentInstr(t)
-	m.lis.Comm(bytes, home, t.Locale, arr.OwnerVar, t, in)
-	lat := costs.CommLatency
-	if out := m.fault.Send(home, t.Locale); out.ExtraLat > 0 {
-		lat += uint64(out.ExtraLat) * costs.CommLatency
+	m.lis.Comm(bytes, from, to, owner, in)
+	return m.cost(costs.CommLatency*uint64(1+extraLat) + uint64(bytes)*costs.CommPerByte)
+}
+
+// sendAll charges the messages the aggregation runtime returned, in its
+// send order, and returns their cycles. A message without an owning
+// variable is attributed to owner.
+func (m *VM) sendAll(msgs []comm.Event, owner *ir.Var, in *ir.Instr) uint64 {
+	var cycles uint64
+	for _, ev := range msgs {
+		o := ev.Var
+		if o == nil {
+			o = owner
+		}
+		cycles += m.send(ev.Bytes, ev.From, ev.To, o, in, ev.ExtraLat)
 	}
-	return m.cost(lat + uint64(bytes)*costs.CommPerByte)
+	return cycles
 }
 
 // noteOwnerRemote records a scheduling violation: an element access at a
@@ -828,13 +847,7 @@ func (m *VM) commAccess(t *Task, arr *ArrayVal, idx []int64, bytes int64, home i
 		// Local access: writes must still invalidate the other locales'
 		// cached copies of this element.
 		if write {
-			var site uint64
-			if in != nil {
-				site = in.Addr
-			}
-			for _, ev := range m.comm.LocalWrite(arr.OwnerVar, site, arr.Addr, elem, t.Locale) {
-				m.lis.CommAgg(ev, t)
-			}
+			m.comm.LocalWrite(arr.Addr, elem, t.Locale)
 		}
 		return 0
 	}
@@ -866,21 +879,7 @@ func (m *VM) commAccess(t *Task, arr *ArrayVal, idx []int64, bytes int64, home i
 		arr.Layout.Unlinear(e, ix)
 		return arr.ElemHome(ix)
 	}
-	var cycles uint64
-	for _, ev := range m.comm.Access(a) {
-		if ev.Message() {
-			m.Stats.CommMessages++
-			m.Stats.CommBytes += ev.Bytes
-			owner := ev.Var
-			if owner == nil {
-				owner = arr.OwnerVar
-			}
-			m.lis.Comm(ev.Bytes, ev.From, ev.To, owner, t, in)
-			cycles += m.cost(costs.CommLatency*uint64(1+ev.ExtraLat) + uint64(ev.Bytes)*costs.CommPerByte)
-		}
-		m.lis.CommAgg(ev, t)
-	}
-	return cycles
+	return m.sendAll(m.comm.Access(a), arr.OwnerVar, in)
 }
 
 // ------------------------------------------------------------ arithmetic
@@ -1105,7 +1104,7 @@ func (m *VM) defaultValue(t types.Type) Value {
 		if tt.IsClass {
 			return Value{K: KNil}
 		}
-		return m.defaultRecord(tt, nil, nil)
+		return m.defaultRecord(tt, nil)
 	case *types.AtomicType:
 		return m.defaultValue(tt.Elem)
 	case *types.RangeType:
@@ -1121,12 +1120,12 @@ func (m *VM) defaultValue(t types.Type) Value {
 
 // defaultRecord builds a record value, allocating array fields over their
 // registered global domains.
-func (m *VM) defaultRecord(rt *types.RecordType, ownerVar *ir.Var, site *ir.Instr) Value {
+func (m *VM) defaultRecord(rt *types.RecordType, ownerVar *ir.Var) Value {
 	out := Value{K: KRecord, RT: rt, Elems: make([]Value, len(rt.Fields))}
 	for i, f := range rt.Fields {
 		if at, ok := f.Type.(*types.ArrayType); ok {
 			if dv, ok2 := m.fieldDomainValue(rt, i); ok2 {
-				arr, _ := m.allocArray(nil, at.Elem, dv, nil, ownerVar, site)
+				arr, _ := m.allocArray(nil, at.Elem, dv, nil, ownerVar)
 				out.Elems[i] = Value{K: KArray, Arr: arr}
 				continue
 			}
@@ -1155,7 +1154,7 @@ func (m *VM) fieldDomainValue(rt *types.RecordType, i int) (DomainVal, bool) {
 
 // allocArray creates an array over dom; nested element arrays are
 // allocated over inner. Returns the descriptor and extra cycles.
-func (m *VM) allocArray(t *Task, elemT types.Type, dom DomainVal, inner *DomainVal, ownerVar *ir.Var, site *ir.Instr) (*ArrayVal, uint64) {
+func (m *VM) allocArray(t *Task, elemT types.Type, dom DomainVal, inner *DomainVal, ownerVar *ir.Var) (*ArrayVal, uint64) {
 	n := dom.Size()
 	arr := &ArrayVal{Dom: dom, Layout: dom, ElemT: elemT, Data: make([]Value, n)}
 	if t != nil {
@@ -1180,7 +1179,7 @@ func (m *VM) allocArray(t *Task, elemT types.Type, dom DomainVal, inner *DomainV
 			if inner != nil {
 				d = *inner
 			}
-			sub, e := m.allocArray(t, et.Elem, d, nil, ownerVar, site)
+			sub, e := m.allocArray(t, et.Elem, d, nil, ownerVar)
 			arr.Data[i] = Value{K: KArray, Arr: sub}
 			extra += e
 		}
@@ -1191,7 +1190,7 @@ func (m *VM) allocArray(t *Task, elemT types.Type, dom DomainVal, inner *DomainV
 			}
 		} else {
 			for i := range arr.Data {
-				arr.Data[i] = m.defaultRecord(et, ownerVar, site)
+				arr.Data[i] = m.defaultRecord(et, ownerVar)
 			}
 		}
 	default:
@@ -1200,12 +1199,12 @@ func (m *VM) allocArray(t *Task, elemT types.Type, dom DomainVal, inner *DomainV
 			arr.Data[i] = dv.Copy()
 		}
 	}
-	m.registerAlloc(arr, ownerVar, site)
+	m.registerAlloc(arr, ownerVar)
 	return arr, extra
 }
 
 // registerAlloc assigns an address range and reports the allocation.
-func (m *VM) registerAlloc(arr *ArrayVal, ownerVar *ir.Var, site *ir.Instr) {
+func (m *VM) registerAlloc(arr *ArrayVal, ownerVar *ir.Var) {
 	elemSize := int64(8)
 	if arr.ElemT != nil {
 		elemSize = arr.ElemT.Size()
@@ -1216,17 +1215,17 @@ func (m *VM) registerAlloc(arr *ArrayVal, ownerVar *ir.Var, site *ir.Instr) {
 	arr.OwnerVar = ownerVar
 	m.Stats.Allocations++
 	m.Stats.AllocBytes += arr.SizeBytes
-	m.lis.Alloc(arr.Addr, arr.SizeBytes, ownerVar, site)
+	m.lis.Alloc(arr.Addr, arr.SizeBytes, ownerVar)
 }
 
 // allocInstance creates a class instance.
-func (m *VM) allocInstance(t *Task, rt *types.RecordType, ownerVar *ir.Var, site *ir.Instr) (*Instance, uint64) {
+func (m *VM) allocInstance(t *Task, rt *types.RecordType, ownerVar *ir.Var) (*Instance, uint64) {
 	obj := &Instance{Type: rt, Fields: make([]Value, len(rt.Fields))}
 	extra := m.cost(costs.ClassAlloc)
 	for i, f := range rt.Fields {
 		if at, ok := f.Type.(*types.ArrayType); ok {
 			if dv, ok2 := m.fieldDomainValue(rt, i); ok2 {
-				arr, e := m.allocArray(t, at.Elem, dv, nil, ownerVar, site)
+				arr, e := m.allocArray(t, at.Elem, dv, nil, ownerVar)
 				obj.Fields[i] = Value{K: KArray, Arr: arr}
 				extra += e
 				continue
@@ -1243,7 +1242,7 @@ func (m *VM) allocInstance(t *Task, rt *types.RecordType, ownerVar *ir.Var, site
 	}
 	m.Stats.Allocations++
 	m.Stats.AllocBytes += obj.SizeBytes
-	m.lis.Alloc(obj.Addr, obj.SizeBytes, ownerVar, site)
+	m.lis.Alloc(obj.Addr, obj.SizeBytes, ownerVar)
 	return obj, extra
 }
 

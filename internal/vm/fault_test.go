@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/compile"
 	"repro/internal/fault"
 	"repro/internal/ir"
@@ -101,11 +100,10 @@ func (p *panicAfter) Exec(uint64, *vm.Task, *ir.Instr, *vm.ArrayVal) {
 		panic("monitor exploded")
 	}
 }
-func (p *panicAfter) Spin(uint64, *vm.Task, *ir.Func)                    {}
-func (p *panicAfter) PreSpawn(*vm.Task, uint64, *ir.Instr)               {}
-func (p *panicAfter) Alloc(uint64, int64, *ir.Var, *ir.Instr)            {}
-func (p *panicAfter) Comm(int64, int, int, *ir.Var, *vm.Task, *ir.Instr) {}
-func (p *panicAfter) CommAgg(comm.Event, *vm.Task)                       {}
+func (p *panicAfter) Spin(uint64, *vm.Task, *ir.Func)          {}
+func (p *panicAfter) PreSpawn(*vm.Task, uint64)                {}
+func (p *panicAfter) Alloc(uint64, int64, *ir.Var)             {}
+func (p *panicAfter) Comm(int64, int, int, *ir.Var, *ir.Instr) {}
 
 func TestTaskPanicRecoveredIntoDiagnostics(t *testing.T) {
 	src := `

@@ -14,7 +14,7 @@ func (m *VM) doSpawn(t *Task, in *ir.Instr) {
 	m.nextTag++
 	tag := m.nextTag
 	if !m.noLis {
-		m.lis.PreSpawn(t, tag, in)
+		m.lis.PreSpawn(t, tag)
 	}
 
 	// Evaluate captures as references into the parent frame.

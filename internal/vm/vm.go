@@ -13,7 +13,12 @@ import (
 )
 
 // Listener observes execution. The sampling profiler, the code-centric
-// baseline and the HPCToolkit-like baseline are all Listeners.
+// baseline and the HPCToolkit-like baseline are all Listeners. It carries
+// only what a first-party runtime exposes to the monitor: retired
+// instructions with their cycles and accessed allocation, idle spin, the
+// pre-spawn stack walk, allocations, and each charged data message.
+// Aggregation-runtime bookkeeping (cache hits, invalidations, prefetch
+// and gather counts) is not reported per event; it lands in Stats.Agg.
 type Listener interface {
 	// Exec is called for every executed instruction with its cycle cost.
 	// acc is the array allocation touched by element accesses (nil
@@ -25,29 +30,27 @@ type Listener interface {
 	// PreSpawn fires in the tasking layer right before tasks are created;
 	// the monitoring process records the parent's stack walk under tag
 	// (paper §IV.B: "record the stack trace before the spawn operation").
-	PreSpawn(parent *Task, tag uint64, site *ir.Instr)
+	PreSpawn(parent *Task, tag uint64)
 	// Alloc reports a heap allocation (arrays, class instances).
-	Alloc(addr uint64, size int64, v *ir.Var, site *ir.Instr)
-	// Comm reports a remote (inter-locale) data access: bytes moved
-	// between locales on behalf of the variable owning the accessed
-	// allocation — the paper's §VI plan to "blame communication cost
-	// back to key data structures".
-	Comm(bytes int64, from, to int, owner *ir.Var, t *Task, in *ir.Instr)
-	// CommAgg reports an aggregation-runtime event (hits, prefetches,
-	// flushes, invalidations...) when the modeled communication runtime
-	// is enabled. Message events are additionally reported through Comm.
-	CommAgg(ev comm.Event, t *Task)
+	Alloc(addr uint64, size int64, v *ir.Var)
+	// Comm reports one charged data message: bytes moved from locale
+	// from (the element's home) to locale to on behalf of the variable
+	// owning the accessed allocation — the paper's §VI plan to "blame
+	// communication cost back to key data structures". in is the
+	// accessing instruction, nil for messages the aggregation runtime
+	// sends at task end or at a forall barrier. Every message counted in
+	// Stats.CommMessages is reported exactly once.
+	Comm(bytes int64, from, to int, owner *ir.Var, in *ir.Instr)
 }
 
 // nopListener is used when no profiler is attached.
 type nopListener struct{}
 
-func (nopListener) Exec(uint64, *Task, *ir.Instr, *ArrayVal)        {}
-func (nopListener) Spin(uint64, *Task, *ir.Func)                    {}
-func (nopListener) PreSpawn(*Task, uint64, *ir.Instr)               {}
-func (nopListener) Alloc(uint64, int64, *ir.Var, *ir.Instr)         {}
-func (nopListener) Comm(int64, int, int, *ir.Var, *Task, *ir.Instr) {}
-func (nopListener) CommAgg(comm.Event, *Task)                       {}
+func (nopListener) Exec(uint64, *Task, *ir.Instr, *ArrayVal) {}
+func (nopListener) Spin(uint64, *Task, *ir.Func)             {}
+func (nopListener) PreSpawn(*Task, uint64)                   {}
+func (nopListener) Alloc(uint64, int64, *ir.Var)             {}
+func (nopListener) Comm(int64, int, int, *ir.Var, *ir.Instr) {}
 
 // Config parameterizes a run.
 type Config struct {
@@ -730,15 +733,7 @@ func (m *VM) taskFinished(t *Task) {
 	if m.comm != nil {
 		// Write-back: flush the task's dirty remote elements as coalesced
 		// runs, charging the messages to the finishing task.
-		for _, ev := range m.comm.TaskEnd(t.ID, t.Locale) {
-			if ev.Message() {
-				m.Stats.CommMessages++
-				m.Stats.CommBytes += ev.Bytes
-				m.lis.Comm(ev.Bytes, ev.From, ev.To, ev.Var, t, nil)
-				m.charge(t, m.cost(costs.CommLatency*uint64(1+ev.ExtraLat)+uint64(ev.Bytes)*costs.CommPerByte))
-			}
-			m.lis.CommAgg(ev, t)
-		}
+		m.charge(t, m.sendAll(m.comm.TaskEnd(t.ID, t.Locale), nil, nil))
 	}
 	t.done = true
 	finish := m.coreOf(t).clock
@@ -757,15 +752,7 @@ func (m *VM) taskFinished(t *Task) {
 				// Barrier-time inspector work: selective replication of
 				// arrays that turned read-mostly during the sweep, charged
 				// to the waiter.
-				for _, ev := range m.comm.SweepEnd() {
-					if ev.Message() {
-						m.Stats.CommMessages++
-						m.Stats.CommBytes += ev.Bytes
-						m.lis.Comm(ev.Bytes, ev.From, ev.To, ev.Var, w, nil)
-						m.charge(w, m.cost(costs.CommLatency*uint64(1+ev.ExtraLat)+uint64(ev.Bytes)*costs.CommPerByte))
-					}
-					m.lis.CommAgg(ev, w)
-				}
+				m.charge(w, m.sendAll(m.comm.SweepEnd(), nil, nil))
 			}
 			// Step past the spawn instruction the waiter blocked on.
 			if a := w.Top(); a != nil && a.Block != nil && a.Idx < len(a.Block.Instrs) {
