@@ -53,13 +53,16 @@ const (
 	KLocale = vm.KLocale
 )
 
+// MakeRef is the interpreter's ref binding: a reference to cell, with
+// ref-to-ref collapsed.
+func MakeRef(cell *Value) Value { return vm.MakeRef(cell) }
+
 // IPow is int ** int (OpBin POW) as the interpreter computes it.
 func IPow(a, b int64) int64 { return arith.IPow(a, b) }
 
 // AsRealF is Value.AsReal for a caller that already proved v is KInt or
 // KReal, through a pointer: the method's value receiver copies the whole
-// (large) Value struct on every call — a runtime.duffcopy that dominated
-// compiled-kernel profiles.
+// Value on every call.
 func AsRealF(v *Value) float64 {
 	if v.K == KInt {
 		return float64(v.I)

@@ -40,21 +40,15 @@ func (c *commTrace) Exec(_ uint64, _ *vm.Task, in *ir.Instr, _ *vm.ArrayVal) {
 func (c *commTrace) Spin(uint64, *vm.Task, *ir.Func) {}
 func (c *commTrace) PreSpawn(*vm.Task, uint64)       {}
 func (c *commTrace) Alloc(uint64, int64, *ir.Var)    {}
-func (c *commTrace) Comm(bytes int64, _, _ int, owner *ir.Var, in *ir.Instr) {
+func (c *commTrace) Comm(cycles uint64, _ int64, _, _ int, owner *ir.Var, in *ir.Instr) {
 	name := "?"
 	if owner != nil {
 		name = owner.Name
 	}
 	c.perVar[name]++
 	if in != nil {
-		c.cycles[in] += float64(c.p.commCycles1(bytes))
+		c.cycles[in] += float64(cycles)
 	}
-}
-
-// commCycles1 is the VM's charge for one fault-free message of bytes.
-func (p *predictor) commCycles1(bytes int64) uint64 {
-	c := vm.Costs()
-	return c.ScaleCost(p.prog.Optimized, c.CommLatency+uint64(bytes)*c.CommPerByte)
 }
 
 // traceComm runs the skeleton VM and fills pred's comm fields. On abort

@@ -22,7 +22,7 @@ func (c *commCount) Exec(uint64, *vm.Task, *ir.Instr, *vm.ArrayVal) {}
 func (c *commCount) Spin(uint64, *vm.Task, *ir.Func)                {}
 func (c *commCount) PreSpawn(*vm.Task, uint64)                      {}
 func (c *commCount) Alloc(uint64, int64, *ir.Var)                   {}
-func (c *commCount) Comm(_ int64, _, _ int, owner *ir.Var, _ *ir.Instr) {
+func (c *commCount) Comm(_ uint64, _ int64, _, _ int, owner *ir.Var, _ *ir.Instr) {
 	name := "?"
 	if owner != nil {
 		name = owner.Name

@@ -31,7 +31,7 @@ func (r *Runtime) prefetchHalo(a Access, site Site) {
 		runStart, runHome = -1, -1
 	}
 	for e := lo; e <= hi; e++ {
-		home := a.HomeOf(e)
+		home := a.Homes.HomeOf(e)
 		if home == a.Loc || c.has(a.Arr, e) {
 			emit(e)
 			continue
@@ -57,7 +57,7 @@ func (r *Runtime) streamFetch(a Access, step int64) {
 	c := r.caches[a.Loc]
 	var n int64
 	for e := a.Elem; e < a.LayoutLen && n < runBlock; e += step {
-		if a.HomeOf(e) != a.Home || c.has(a.Arr, e) {
+		if a.Homes.HomeOf(e) != a.Home || c.has(a.Arr, e) {
 			break
 		}
 		c.insert(a.Var, a.Arr, e, a.Home, a.Bytes, false, a.Task, r)

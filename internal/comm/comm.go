@@ -91,8 +91,14 @@ type Access struct {
 	SweepLo, SweepHi int64
 	// LayoutLen is the element count of the owner's layout.
 	LayoutLen int64
-	// HomeOf maps a layout-linear element to its home locale.
-	HomeOf func(int64) int
+	// Homes places the owner's elements on locales.
+	Homes Homes
+}
+
+// Homes maps a layout-linear element to its home locale. The VM passes
+// the owning array itself, so describing an access allocates nothing.
+type Homes interface {
+	HomeOf(elem int64) int
 }
 
 // EventKind classifies charged messages.

@@ -9,9 +9,14 @@ func access(elem int64, loc int, write bool) Access {
 		Arr: 1, Elem: elem, Bytes: 8,
 		Home: int(elem / 8), Loc: loc, Task: 1, Write: write,
 		LayoutLen: 16,
-		HomeOf:    func(e int64) int { return int(e / 8) },
+		Homes:     blocksOf8{},
 	}
 }
+
+// blocksOf8 homes element e on locale e/8.
+type blocksOf8 struct{}
+
+func (blocksOf8) HomeOf(e int64) int { return int(e / 8) }
 
 // mustHit reads a through r and fails unless the read was served from a
 // resident copy: no message sent and exactly one more Stats.Hits.

@@ -112,7 +112,7 @@ type arrState struct {
 	v         *ir.Var
 	bytes     int64
 	layoutLen int64
-	homeOf    func(int64) int
+	homes     Homes
 }
 
 type inspector struct {
@@ -164,7 +164,7 @@ func (ins *inspector) access(r *Runtime, a Access) {
 	}
 	st.reads++
 	st.v, st.bytes = a.Var, a.Bytes
-	st.layoutLen, st.homeOf = a.LayoutLen, a.HomeOf
+	st.layoutLen, st.homes = a.LayoutLen, a.Homes
 	k := recKey{a.Task, a.Site, a.Arr}
 	rec := ins.recs[k]
 	if rec == nil {
@@ -272,7 +272,7 @@ func (ins *inspector) replay(r *Runtime, a Access, rec *recording, sc *schedule)
 func (ins *inspector) sweepEnd(r *Runtime) {
 	var keys []repKey
 	for k, st := range ins.arrs {
-		if st.reads < r.cfg.ReplicaMinReads || st.layoutLen <= 0 || st.homeOf == nil {
+		if st.reads < r.cfg.ReplicaMinReads || st.layoutLen <= 0 || st.homes == nil {
 			continue
 		}
 		if _, ok := ins.replicas[k]; ok {
@@ -299,9 +299,9 @@ func (ins *inspector) replicate(r *Runtime, k repKey, st *arrState) {
 	st.reads = 0
 	lo := int64(0)
 	for lo < st.layoutLen {
-		h := st.homeOf(lo)
+		h := st.homes.HomeOf(lo)
 		hi := lo
-		for hi+1 < st.layoutLen && st.homeOf(hi+1) == h {
+		for hi+1 < st.layoutLen && st.homes.HomeOf(hi+1) == h {
 			hi++
 		}
 		if h != k.loc {

@@ -1,5 +1,7 @@
 package comm
 
+import "slices"
+
 // SpanSet is a sorted set of disjoint inclusive element intervals —
 // the elements one locale holds of one array: a site's gathered
 // residency or a replicated array's copy.
@@ -7,69 +9,64 @@ type SpanSet struct {
 	spans [][2]int64
 }
 
-// Add inserts [lo, hi], merging overlapping/adjacent spans.
+// Add inserts [lo, hi], merging overlapping/adjacent spans. It edits
+// the set in place, allocating only when the set outgrows its array.
 func (s *SpanSet) Add(lo, hi int64) {
 	if hi < lo {
 		return
 	}
-	out := s.spans[:0:0]
-	placed := false
-	for _, sp := range s.spans {
-		if sp[1] < lo-1 {
-			out = append(out, sp)
-			continue
-		}
-		if sp[0] > hi+1 {
-			if !placed {
-				out = append(out, [2]int64{lo, hi})
-				placed = true
-			}
-			out = append(out, sp)
-			continue
-		}
-		if sp[0] < lo {
-			lo = sp[0]
-		}
-		if sp[1] > hi {
-			hi = sp[1]
-		}
+	i := s.search(lo - 1)
+	j := i
+	for ; j < len(s.spans) && s.spans[j][0] <= hi+1; j++ {
+		lo = min(lo, s.spans[j][0])
+		hi = max(hi, s.spans[j][1])
 	}
-	if !placed {
-		out = append(out, [2]int64{lo, hi})
-	}
-	s.spans = out
+	s.spans = slices.Replace(s.spans, i, j, [2]int64{lo, hi})
 }
 
 // Remove deletes [lo, hi] from the set (a write on another locale
-// invalidating cached copies).
+// invalidating cached copies). Like Add it edits in place, and a
+// removal that hits no span changes nothing.
 func (s *SpanSet) Remove(lo, hi int64) {
 	if hi < lo {
 		return
 	}
-	out := s.spans[:0:0]
-	for _, sp := range s.spans {
-		if sp[1] < lo || sp[0] > hi {
-			out = append(out, sp)
-			continue
-		}
-		if sp[0] < lo {
-			out = append(out, [2]int64{sp[0], lo - 1})
-		}
-		if sp[1] > hi {
-			out = append(out, [2]int64{hi + 1, sp[1]})
-		}
+	i := s.search(lo)
+	j := i
+	for j < len(s.spans) && s.spans[j][0] <= hi {
+		j++
 	}
-	s.spans = out
+	if i == j {
+		return
+	}
+	var keep [2][2]int64
+	n := 0
+	if first := s.spans[i]; first[0] < lo {
+		keep[n] = [2]int64{first[0], lo - 1}
+		n++
+	}
+	if last := s.spans[j-1]; last[1] > hi {
+		keep[n] = [2]int64{hi + 1, last[1]}
+		n++
+	}
+	s.spans = slices.Replace(s.spans, i, j, keep[:n]...)
 }
 
 // Contains reports whether e is resident.
 func (s *SpanSet) Contains(e int64) bool {
-	for _, sp := range s.spans {
-		if e >= sp[0] && e <= sp[1] {
-			return true
+	i := s.search(e)
+	return i < len(s.spans) && s.spans[i][0] <= e
+}
+
+// search returns the index of the first span ending at or after e.
+func (s *SpanSet) search(e int64) int {
+	i, _ := slices.BinarySearchFunc(s.spans, e, func(sp [2]int64, e int64) int {
+		if sp[1] < e {
+			return -1
 		}
-	}
-	return false
+		return 1
+	})
+	return i
 }
 
 // Missing returns the sub-intervals of [lo, hi] not in the set.

@@ -212,11 +212,11 @@ func (g *fnGen) emitScalarGuard(name, fall string) {
 
 // emitCopy emits a scalar Value copy from *src to *dst: kind tag plus
 // that kind's payload field, inline (a helper call defeats the point).
-// gobert.Value is a large struct and whole-struct copies are
-// runtime.duffcopy calls that dominated kernel profiles; stale bytes in
-// the other payload fields are unobservable because every read
-// dispatches on K first. Reals first: numeric kernels are the hot case.
-// Rare scalar kinds (string, range, ref, ...) keep the full copy.
+// A whole-struct copy moves all 64 bytes of gobert.Value with write
+// barriers on its pointer words; stale bytes in the other payload
+// fields are unobservable because every read dispatches on K first.
+// Reals first: numeric kernels are the hot case. Rare scalar kinds
+// (string, range, ref, ...) keep the full copy.
 func (g *fnGen) emitCopy(dst, src string) {
 	fmt.Fprintf(g.b, "\t\tif %s.K == gobert.KReal {\n\t\t\t%s.K = gobert.KReal\n\t\t\t%s.F = %s.F\n", src, dst, dst, src)
 	fmt.Fprintf(g.b, "\t\t} else if %s.K == gobert.KInt {\n\t\t\t%s.K = gobert.KInt\n\t\t\t%s.I = %s.I\n", src, dst, dst, src)
@@ -327,14 +327,16 @@ func (g *fnGen) genInstr(pc int, blk *ir.Block, k int, in *ir.Instr) {
 
 func (g *fnGen) genConst(in *ir.Instr, blk *ir.Block, k, pc int) func() bool {
 	l := in.Lit
-	if l == nil || l.T == nil || in.Dst == nil || isHere(in.Dst) {
+	// A string literal stays interpreted: the interpreter's value names
+	// the IR literal's text, where inline code would box a copy per run.
+	if l == nil || l.T == nil || l.T.Kind() == types.String || in.Dst == nil || isHere(in.Dst) {
 		return nil
 	}
 	return func() bool {
 		// bindCell: replace the raw cell outright (no deref). Partial
-		// stores (K + the payload field for K) instead of a full 216-byte
-		// struct store: every Value read dispatches on K first, so stale
-		// bytes in the other payload fields are unobservable.
+		// stores (K + the inline payload field for K) instead of a full
+		// 64-byte struct store: every Value read dispatches on K first,
+		// so stale bytes in the other payload fields are unobservable.
 		fmt.Fprintf(g.b, "\t\tc0 := %s\n", cellExpr(in.Dst))
 		switch l.T.Kind() {
 		case types.Int:
@@ -345,8 +347,6 @@ func (g *fnGen) genConst(in *ir.Instr, blk *ir.Block, k, pc int) func() bool {
 			fmt.Fprintf(g.b, "\t\tc0.K = gobert.KReal\n\t\tc0.F = math.Float64frombits(0x%016x)\n", math.Float64bits(l.F))
 		case types.Bool:
 			fmt.Fprintf(g.b, "\t\tc0.K = gobert.KBool\n\t\tc0.B = %t\n", l.B)
-		case types.String:
-			fmt.Fprintf(g.b, "\t\tc0.K = gobert.KString\n\t\tc0.S = %q\n", l.S)
 		default:
 			g.b.WriteString("\t\t*c0 = gobert.Value{}\n")
 		}
@@ -515,8 +515,8 @@ func (g *fnGen) genBr(in *ir.Instr, fall string) func() bool {
 // cost/comm/failure behavior.
 func (g *fnGen) emitElem(base, idx *ir.Var, fall string) {
 	g.emitReadPtr("p0", base)
-	fmt.Fprintf(g.b, "\t\tif p0.K != gobert.KArray || p0.Arr == nil {\n\t\t\tgoto %s\n\t\t}\n", fall)
-	g.b.WriteString("\t\tar := p0.Arr\n")
+	g.b.WriteString("\t\tar := p0.Arr()\n")
+	fmt.Fprintf(g.b, "\t\tif p0.K != gobert.KArray || ar == nil {\n\t\t\tgoto %s\n\t\t}\n", fall)
 	fmt.Fprintf(g.b, "\t\tif ar.Dom.Rank != 1 || ar.Layout.Rank != 1 {\n\t\t\tgoto %s\n\t\t}\n", fall)
 	g.emitReadPtr("p1", idx)
 	fmt.Fprintf(g.b, "\t\tif p1.K != gobert.KInt {\n\t\t\tgoto %s\n\t\t}\n", fall)
@@ -568,11 +568,9 @@ func (g *fnGen) genRefElem(in *ir.Instr, blk *ir.Block, k, pc int, fall string) 
 	}
 	return func() bool {
 		g.emitElem(in.A, in.Args[0], fall)
-		// bindCell(dst, makeRef(c)): raw cell, ref-to-ref collapsed.
-		// Ref is written before K so a read racing through K never sees a
-		// KRef with a stale pointer (single task per slice, but cheap).
+		// bindCell(dst, MakeRef(c)): raw cell, ref-to-ref collapsed.
 		fmt.Fprintf(g.b, "\t\tdv := %s\n", cellExpr(in.Dst))
-		g.b.WriteString("\t\tif c.K == gobert.KRef {\n\t\t\tdv.Ref = c.Ref\n\t\t} else {\n\t\t\tdv.Ref = c\n\t\t}\n\t\tdv.K = gobert.KRef\n")
+		g.b.WriteString("\t\t*dv = gobert.MakeRef(c)\n")
 		g.emitRetireAdvance(in, "o", blk, k, pc)
 		return true
 	}
@@ -651,9 +649,9 @@ func (g *fnGen) genRefField(in *ir.Instr, blk *ir.Block, k, pc int, fall string)
 		g.emitCompositeBase(in.A, fall)
 		g.emitTupleIx(in, fall)
 		g.b.WriteString("\t\tc := &p0.Elems[ix]\n")
-		// bindCell(dst, makeRef(c)): raw cell, ref-to-ref collapsed.
+		// bindCell(dst, MakeRef(c)): raw cell, ref-to-ref collapsed.
 		fmt.Fprintf(g.b, "\t\tdv := %s\n", cellExpr(in.Dst))
-		g.b.WriteString("\t\tif c.K == gobert.KRef {\n\t\t\tdv.Ref = c.Ref\n\t\t} else {\n\t\t\tdv.Ref = c\n\t\t}\n\t\tdv.K = gobert.KRef\n")
+		g.b.WriteString("\t\t*dv = gobert.MakeRef(c)\n")
 		g.emitRetireAdvance(in, "nil", blk, k, pc)
 		return true
 	}

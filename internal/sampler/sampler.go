@@ -248,7 +248,7 @@ func (s *Sampler) Alloc(addr uint64, size int64, v *ir.Var) {
 }
 
 // Comm implements vm.Listener.
-func (s *Sampler) Comm(bytes int64, from, to int, owner *ir.Var, _ *ir.Instr) {
+func (s *Sampler) Comm(_ uint64, bytes int64, from, to int, owner *ir.Var, _ *ir.Instr) {
 	s.Comms = append(s.Comms, CommRecord{Bytes: bytes, From: from, To: to, Var: owner})
 }
 

@@ -16,45 +16,47 @@ func (m *VM) query(t *Task, in *ir.Instr) (Value, bool) {
 	case "size", "length", "numIndices", "numElements":
 		switch v.K {
 		case KRange:
-			return IntVal(v.Rng.Size()), true
+			return IntVal(v.Rng().Size()), true
 		case KDomain:
-			return IntVal(v.Dom.Size()), true
+			return IntVal(v.Dom().Size()), true
 		case KArray:
-			return IntVal(v.Arr.Dom.Size()), true
+			return IntVal(v.Arr().Dom.Size()), true
 		case KTuple:
 			return IntVal(int64(len(v.Elems))), true
 		}
 	case "low", "first":
 		switch v.K {
 		case KRange:
-			return IntVal(v.Rng.Lo), true
+			return IntVal(v.Rng().Lo), true
 		case KDomain:
-			if v.Dom.Rank == 1 {
-				return IntVal(v.Dom.Dims[0].Lo), true
+			d := v.Dom()
+			if d.Rank == 1 {
+				return IntVal(d.Dims[0].Lo), true
 			}
-			out := Value{K: KTuple, Elems: make([]Value, v.Dom.Rank)}
-			for i := 0; i < v.Dom.Rank; i++ {
-				out.Elems[i] = IntVal(v.Dom.Dims[i].Lo)
+			out := Value{K: KTuple, Elems: make([]Value, d.Rank)}
+			for i := 0; i < d.Rank; i++ {
+				out.Elems[i] = IntVal(d.Dims[i].Lo)
 			}
 			return out, true
 		}
 	case "high", "last":
 		switch v.K {
 		case KRange:
-			return IntVal(v.Rng.Hi), true
+			return IntVal(v.Rng().Hi), true
 		case KDomain:
-			if v.Dom.Rank == 1 {
-				return IntVal(v.Dom.Dims[0].Hi), true
+			d := v.Dom()
+			if d.Rank == 1 {
+				return IntVal(d.Dims[0].Hi), true
 			}
-			out := Value{K: KTuple, Elems: make([]Value, v.Dom.Rank)}
-			for i := 0; i < v.Dom.Rank; i++ {
-				out.Elems[i] = IntVal(v.Dom.Dims[i].Hi)
+			out := Value{K: KTuple, Elems: make([]Value, d.Rank)}
+			for i := 0; i < d.Rank; i++ {
+				out.Elems[i] = IntVal(d.Dims[i].Hi)
 			}
 			return out, true
 		}
 	case "domain":
 		if v.K == KArray {
-			return Value{K: KDomain, Dom: v.Arr.Dom}, true
+			return DomVal(v.Arr().Dom), true
 		}
 	case "dimlow":
 		d, ok := asDomain(v)
@@ -69,11 +71,11 @@ func (m *VM) query(t *Task, in *ir.Instr) (Value, bool) {
 	case "ziplow":
 		switch v.K {
 		case KRange:
-			return IntVal(v.Rng.Lo), true
+			return IntVal(v.Rng().Lo), true
 		case KDomain:
-			return IntVal(v.Dom.Dims[0].Lo), true
+			return IntVal(v.Dom().Dims[0].Lo), true
 		case KArray:
-			return IntVal(v.Arr.Dom.Dims[0].Lo), true
+			return IntVal(v.Arr().Dom.Dims[0].Lo), true
 		}
 	case "id":
 		if v.K == KLocale {
@@ -98,11 +100,11 @@ func (m *VM) query(t *Task, in *ir.Instr) (Value, bool) {
 func asDomain(v Value) (DomainVal, bool) {
 	switch v.K {
 	case KDomain:
-		return v.Dom, true
+		return v.Dom(), true
 	case KArray:
-		return v.Arr.Dom, true
+		return v.Arr().Dom, true
 	case KRange:
-		return DomainVal{Rank: 1, Dims: [3]RangeVal{v.Rng}}, true
+		return DomainVal{Rank: 1, Dims: [3]RangeVal{v.Rng()}}, true
 	}
 	return DomainVal{}, false
 }
@@ -130,16 +132,16 @@ func (m *VM) domMethod(t *Task, in *ir.Instr) (Value, bool) {
 	switch in.Method {
 	case "expand":
 		if v.K == KDomain {
-			return Value{K: KDomain, Dom: v.Dom.Expand(argInt(0))}, true
+			return DomVal(v.Dom().Expand(argInt(0))), true
 		}
 	case "translate":
 		if v.K == KDomain {
-			return Value{K: KDomain, Dom: v.Dom.Translate(argInt(0))}, true
+			return DomVal(v.Dom().Translate(argInt(0))), true
 		}
 	case "interior", "exterior":
 		if v.K == KDomain {
 			// Simplified: interior(k) shrinks by |k| on the high side.
-			d := v.Dom
+			d := v.Dom()
 			k := argInt(0)
 			if k < 0 {
 				k = -k
@@ -147,14 +149,14 @@ func (m *VM) domMethod(t *Task, in *ir.Instr) (Value, bool) {
 			for i := 0; i < d.Rank; i++ {
 				d.Dims[i].Hi -= k
 			}
-			return Value{K: KDomain, Dom: d}, true
+			return DomVal(d), true
 		}
 	case "dim":
 		d, ok := asDomain(v)
 		if ok {
 			i := argInt(0) - 1 // Chapel dims are 1-based
 			if i >= 0 && int(i) < d.Rank {
-				return Value{K: KRange, Rng: d.Dims[i]}, true
+				return RngVal(d.Dims[i]), true
 			}
 		}
 	case "size":
@@ -271,9 +273,11 @@ func (m *VM) doBuiltin(t *Task, in *ir.Instr) (uint64, bool) {
 	case "distribute:block":
 		cell := m.cellOf(t, in.A).Deref()
 		if cell.K == KDomain {
-			v := *cell
-			v.Dom.Dist = true
-			m.bindCell(t, in.Dst, v)
+			// A copy of the shared domain payload, never a write
+			// through it: other values may name the same box.
+			d := cell.Dom()
+			d.Dist = true
+			m.bindCell(t, in.Dst, DomVal(d))
 		}
 	case "stride_check":
 		if argV(0).AsInt() <= 0 {
@@ -397,11 +401,11 @@ func (m *VM) configBuiltin(t *Task, in *ir.Instr, name string) (uint64, bool) {
 // reduceBuiltin folds an array with +, *, min (<) or max (>).
 func (m *VM) reduceBuiltin(t *Task, in *ir.Instr, op string) (uint64, bool) {
 	v := m.readVal(t, in.Args[0])
-	if v.K != KArray && v.K != KUnk || v.Arr == nil {
+	if v.K != KArray && v.K != KUnk || v.Arr() == nil {
 		m.fail(t, in, "reduce over non-array %s", v)
 		return 0, false
 	}
-	arr := v.Arr
+	arr := v.Arr()
 	n := arr.Dom.Size()
 	if m.skel && !tracksContents(arr) {
 		// The fold reads the untracked contents.

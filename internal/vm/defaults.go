@@ -65,7 +65,7 @@ func (m *VM) defaultsFor(fn *ir.Func) []defSlot {
 	if d, ok := m.defSlots[fn]; ok {
 		return d
 	}
-	var out []defSlot
+	out := make([]defSlot, 0, len(fn.Locals))
 	for _, l := range fn.Locals {
 		if l.Type == nil || l.IsRef {
 			continue
@@ -90,8 +90,8 @@ func (m *VM) defaultsFor(fn *ir.Func) []defSlot {
 
 // initLocals default-initializes act's locals by declared type (globals
 // are zeroed the same way at startup), leaving slots a parameter already
-// bound. Indexed iteration: a defSlot embeds a 216-byte Value, so a range
-// copy per default would dominate this loop.
+// bound. Indexed iteration: a defSlot embeds a 64-byte Value, which a
+// range copy per default would move once more.
 func (m *VM) initLocals(act *Activation) {
 	defs := m.defaultsFor(act.F)
 	for i := range defs {

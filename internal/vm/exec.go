@@ -44,7 +44,7 @@ func (m *VM) step(t *Task) bool {
 		if in.Rebind && in.A != m.hereVar {
 			// `ref r = x`: bind r to x's storage instead of copying, so
 			// writes through r reach x (and the blame edge is an alias).
-			m.bindCell(t, in.Dst, makeRef(m.cellOf(t, in.A)))
+			m.bindCell(t, in.Dst, MakeRef(m.cellOf(t, in.A)))
 			break
 		}
 		src := m.readPtr(t, in.A)
@@ -55,7 +55,7 @@ func (m *VM) step(t *Task) bool {
 		b := m.readPtr(t, in.B)
 		// Fast path: int/real/bool operands into a non-composite cell
 		// write the result in place (assignVar would reduce to a plain
-		// scalar store anyway), skipping two ~200-byte Value copies.
+		// scalar store anyway), skipping two 64-byte Value copies.
 		if in.Dst != nil {
 			dst := m.cellOf(t, in.Dst)
 			if dst.K == KRef {
@@ -156,7 +156,7 @@ func (m *VM) step(t *Task) bool {
 			return false
 		}
 		acc = arr
-		m.bindCell(t, in.Dst, makeRef(cell))
+		m.bindCell(t, in.Dst, MakeRef(cell))
 
 	case ir.OpIndex:
 		cell, arr, idx, ok := m.elemCell(t, in, in.A)
@@ -204,16 +204,16 @@ func (m *VM) step(t *Task) bool {
 			m.bindCell(t, in.Dst, unknownOf(cell, idx != nil))
 			break
 		}
-		m.bindCell(t, in.Dst, makeRef(cell))
+		m.bindCell(t, in.Dst, MakeRef(cell))
 
 	case ir.OpSlice:
 		base := m.readCellChecked(t, in.A, in)
-		if base == nil || base.K != KArray && base.K != KUnk || base.Arr == nil {
+		if base == nil || base.K != KArray && base.K != KUnk || base.Arr() == nil {
 			m.fail(t, in, "slicing a non-array")
 			return false
 		}
 		idx := m.readVal(t, in.B)
-		view, err := sliceArray(base.Arr, idx)
+		view, err := sliceArray(base.Arr(), idx)
 		if err != "" {
 			if idx.K == KUnk {
 				m.fail(t, in, "data-dependent slice bounds at %v", in.Pos)
@@ -222,8 +222,8 @@ func (m *VM) step(t *Task) bool {
 			m.fail(t, in, "%s", err)
 			return false
 		}
-		acc = base.Arr.Owner()
-		m.bindCell(t, in.Dst, Value{K: base.K, Arr: view})
+		acc = base.Arr().Owner()
+		m.bindCell(t, in.Dst, Value{K: base.K, p: view})
 
 	case ir.OpMakeRange:
 		a, b := m.readPtr(t, in.A), m.readPtr(t, in.B)
@@ -244,7 +244,7 @@ func (m *VM) step(t *Task) bool {
 				return false
 			}
 		}
-		rv := Value{K: KRange, Rng: r}
+		rv := RngVal(r)
 		m.assignVar(t, in.Dst, &rv, in)
 
 	case ir.OpMakeDomain:
@@ -259,9 +259,9 @@ func (m *VM) step(t *Task) bool {
 				m.fail(t, in, "domain dimension %d is not a range", i+1)
 				return false
 			}
-			d.Dims[i] = rv.Rng
+			d.Dims[i] = rv.Rng()
 		}
-		dv := Value{K: KDomain, Dom: d}
+		dv := DomVal(d)
 		m.assignVar(t, in.Dst, &dv, in)
 
 	case ir.OpDomMethod:
@@ -292,7 +292,7 @@ func (m *VM) step(t *Task) bool {
 		if in.B != nil {
 			bv := m.readVal(t, in.B)
 			if bv.K == KDomain {
-				d := bv.Dom
+				d := bv.Dom()
 				inner = &d
 			}
 		}
@@ -301,9 +301,9 @@ func (m *VM) step(t *Task) bool {
 		if at != nil {
 			elemT = at.Elem
 		}
-		arr, extra := m.allocArray(t, elemT, dv.Dom, inner, in.Dst)
+		arr, extra := m.allocArray(t, elemT, dv.Dom(), inner, in.Dst)
 		cycles += extra
-		m.bindCell(t, in.Dst, Value{K: KArray, Arr: arr})
+		m.bindCell(t, in.Dst, ArrVal(arr))
 
 	case ir.OpAllocRec:
 		rt, _ := in.Dst.Type.(*types.RecordType)
@@ -313,7 +313,7 @@ func (m *VM) step(t *Task) bool {
 		}
 		obj, extra := m.allocInstance(t, rt, in.Dst)
 		cycles += extra
-		ov := Value{K: KClass, Obj: obj}
+		ov := ObjVal(obj)
 		m.assignVar(t, in.Dst, &ov, in)
 
 	case ir.OpCall:
@@ -430,7 +430,9 @@ func litValue(l *ir.Lit) Value {
 	case types.Bool:
 		return BoolVal(l.B)
 	case types.String:
-		return StrVal(l.S)
+		// The IR literal is immutable while the program runs, so the
+		// value can name its text instead of boxing a copy per run.
+		return Value{K: KString, p: &l.S}
 	}
 	return Value{}
 }
@@ -477,12 +479,12 @@ func (m *VM) bindCell(t *Task, v *ir.Var, val Value) {
 	*m.cellOf(t, v) = val
 }
 
-// makeRef wraps a cell as a reference, collapsing ref-to-ref.
-func makeRef(cell *Value) Value {
+// MakeRef wraps a cell as a reference, collapsing ref-to-ref.
+func MakeRef(cell *Value) Value {
 	if cell.K == KRef {
 		return *cell
 	}
-	return Value{K: KRef, Ref: cell}
+	return Value{K: KRef, p: cell}
 }
 
 // assignVar assigns through refs with array-aware semantics; returns
@@ -510,11 +512,11 @@ func (m *VM) assignVarV(t *Task, v *ir.Var, src Value, in *ir.Instr) uint64 {
 // scalars broadcast over arrays and tuples, everything else deep-copies.
 func (m *VM) assignInto(cell *Value, src *Value) uint64 {
 	src = src.Deref()
-	if (cell.K == KArray || cell.K == KUnk) && cell.Arr != nil {
-		dst := cell.Arr
+	if (cell.K == KArray || cell.K == KUnk) && cell.Arr() != nil {
+		dst := cell.Arr()
 		switch {
-		case src.K == KArray, src.K == KUnk && src.Arr != nil:
-			return m.copyArray(dst, src.Arr)
+		case src.K == KArray, src.K == KUnk && src.Arr() != nil:
+			return m.copyArray(dst, src.Arr())
 		default:
 			// Broadcast scalar.
 			n := dst.Dom.Size()
@@ -528,11 +530,11 @@ func (m *VM) assignInto(cell *Value, src *Value) uint64 {
 			return uint64(n) * m.cost(costs.PerElem)
 		}
 	}
-	if cell.K == KNil && (src.K == KArray || src.K == KUnk) && src.Arr != nil {
+	if cell.K == KNil && (src.K == KArray || src.K == KUnk) && src.Arr() != nil {
 		// Fresh array binding from an initializer: clone (an unknown
 		// array reference stays unknown).
-		clone, extra := m.cloneArray(src.Arr)
-		*cell = Value{K: src.K, Arr: clone}
+		clone, extra := m.cloneArray(src.Arr())
+		*cell = Value{K: src.K, p: clone}
 		return extra
 	}
 	if (cell.K == KTuple || cell.K == KRecord) && src.K != cell.K {
@@ -636,15 +638,15 @@ func (m *VM) fieldCell(t *Task, in *ir.Instr, baseVar *ir.Var, fieldIx int) (*Va
 		}
 		return &base.Elems[fieldIx], nil
 	case KClass:
-		if base.Obj == nil {
+		if base.Obj() == nil {
 			m.fail(t, in, "field access on nil class instance")
 			return nil, nil
 		}
-		if fieldIx < 0 || fieldIx >= len(base.Obj.Fields) {
+		if fieldIx < 0 || fieldIx >= len(base.Obj().Fields) {
 			m.fail(t, in, "field index %d out of range", fieldIx)
 			return nil, nil
 		}
-		return &base.Obj.Fields[fieldIx], nil
+		return &base.Obj().Fields[fieldIx], nil
 	}
 	m.fail(t, in, "field access on %s", base)
 	return nil, nil
@@ -661,7 +663,7 @@ func (m *VM) refFieldCell(t *Task, in *ir.Instr) (*Value, *ArrayVal) {
 		}
 		return &base.Elems[ix], nil
 	case KClass:
-		if base.Obj == nil {
+		if base.Obj() == nil {
 			m.fail(t, in, "field access on nil class instance")
 			return nil, nil
 		}
@@ -669,11 +671,11 @@ func (m *VM) refFieldCell(t *Task, in *ir.Instr) (*Value, *ArrayVal) {
 		if ix < 0 {
 			ix = int(m.readVal(t, in.B).AsInt())
 		}
-		if ix < 0 || ix >= len(base.Obj.Fields) {
+		if ix < 0 || ix >= len(base.Obj().Fields) {
 			m.fail(t, in, "field index out of range")
 			return nil, nil
 		}
-		return &base.Obj.Fields[ix], nil
+		return &base.Obj().Fields[ix], nil
 	}
 	m.fail(t, in, "ref-field on %s", base)
 	return nil, nil
@@ -685,11 +687,11 @@ func (m *VM) elemCell(t *Task, in *ir.Instr, baseVar *ir.Var) (*Value, *ArrayVal
 	base := m.cellOf(t, baseVar).Deref()
 	// An unknown array reference (skeleton mode) still reaches its
 	// allocation.
-	if base.K != KArray && base.K != KUnk || base.Arr == nil {
+	if base.K != KArray && base.K != KUnk || base.Arr() == nil {
 		m.fail(t, in, "indexing non-array value %s (var %s)", base, baseVar.Name)
 		return nil, nil, nil, false
 	}
-	arr := base.Arr
+	arr := base.Arr()
 	// Resolved indices live in a VM scratch buffer: element accesses
 	// dominate hot loops and the indices never outlive the instruction.
 	idx := m.idxScratch[:0]
@@ -743,9 +745,9 @@ func sliceArray(base *ArrayVal, idx Value) (*ArrayVal, string) {
 	var d DomainVal
 	switch idx.K {
 	case KDomain:
-		d = idx.Dom
+		d = idx.Dom()
 	case KRange:
-		d = DomainVal{Rank: 1, Dims: [3]RangeVal{idx.Rng}}
+		d = DomainVal{Rank: 1, Dims: [3]RangeVal{idx.Rng()}}
 	default:
 		return nil, "slice index must be a domain or range"
 	}
@@ -790,15 +792,17 @@ func (m *VM) commCost(t *Task, arr *ArrayVal, idx []int64, bytes int64, write bo
 	return m.send(bytes, home, t.Locale, arr.OwnerVar, m.currentInstr(t), extraLat)
 }
 
-// send charges one data message: it counts the message in Stats, reports
-// it to the listener and returns its cycles, CommLatency for each of the
-// 1+extraLat attempts plus CommPerByte per byte. Every data message of a
-// run, direct or decided by the aggregation runtime, goes through here.
+// send charges one data message: CommLatency for each of the 1+extraLat
+// attempts plus CommPerByte per byte. It counts the message in Stats,
+// reports it with its cycles to the listener and returns the cycles.
+// Every data message of a run, direct or decided by the aggregation
+// runtime, goes through here.
 func (m *VM) send(bytes int64, from, to int, owner *ir.Var, in *ir.Instr, extraLat int64) uint64 {
+	cycles := m.cost(costs.CommLatency*uint64(1+extraLat) + uint64(bytes)*costs.CommPerByte)
 	m.Stats.CommMessages++
 	m.Stats.CommBytes += bytes
-	m.lis.Comm(bytes, from, to, owner, in)
-	return m.cost(costs.CommLatency*uint64(1+extraLat) + uint64(bytes)*costs.CommPerByte)
+	m.lis.Comm(cycles, bytes, from, to, owner, in)
+	return cycles
 }
 
 // sendAll charges the messages the aggregation runtime returned, in its
@@ -873,12 +877,7 @@ func (m *VM) commAccess(t *Task, arr *ArrayVal, idx []int64, bytes int64, home i
 		a.SweepLo = d.Lo + it.start*st - base
 		a.SweepHi = d.Lo + (it.end-1)*st - base
 	}
-	a.HomeOf = func(e int64) int {
-		var buf [3]int64
-		ix := buf[:arr.Layout.Rank]
-		arr.Layout.Unlinear(e, ix)
-		return arr.ElemHome(ix)
-	}
+	a.Homes = arr
 	return m.sendAll(m.comm.Access(a), arr.OwnerVar, in)
 }
 
@@ -886,12 +885,12 @@ func (m *VM) commAccess(t *Task, arr *ArrayVal, idx []int64, bytes int64, home i
 
 // evalBin computes a binary operation with promotion over tuples and
 // arrays. Returns extra cycles for elementwise work. Operands are passed
-// by pointer (and only read): binary ops run on every hot-loop iteration
-// and Value is too large to copy per call.
+// by pointer (and only read): binary ops run on every hot-loop iteration,
+// and a Value is a whole cache line to copy per call.
 func (m *VM) evalBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	a = a.Deref()
 	b = b.Deref()
-	if a.K == KUnk && a.Arr != nil || b.K == KUnk && b.Arr != nil {
+	if a.K == KUnk && a.Arr() != nil || b.K == KUnk && b.Arr() != nil {
 		return m.evalUnknownArrayBin(op, a, b)
 	}
 	// Array promotion.
@@ -913,7 +912,7 @@ func (m *VM) evalBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 		return compare(op, a, b)
 	}
 	if a.K == KString && b.K == KString && op == token.PLUS {
-		return StrVal(a.S + b.S), 0, true
+		return StrVal(a.Str() + b.Str()), 0, true
 	}
 	return Value{}, 0, false
 }
@@ -956,10 +955,10 @@ func compare(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	if a.K == KClass || b.K == KClass || a.K == KNil || b.K == KNil {
 		var ap, bp *Instance
 		if a.K == KClass {
-			ap = a.Obj
+			ap = a.Obj()
 		}
 		if b.K == KClass {
-			bp = b.Obj
+			bp = b.Obj()
 		}
 		switch op {
 		case token.EQ:
@@ -972,9 +971,9 @@ func compare(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	if a.K == KString && b.K == KString {
 		switch op {
 		case token.EQ:
-			return BoolVal(a.S == b.S), 0, true
+			return BoolVal(a.Str() == b.Str()), 0, true
 		case token.NEQ:
-			return BoolVal(a.S != b.S), 0, true
+			return BoolVal(a.Str() != b.Str()), 0, true
 		}
 	}
 	r, ok := arith.Compare(op, a.AsReal(), b.AsReal())
@@ -1018,9 +1017,9 @@ func (m *VM) evalTupleBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 func (m *VM) evalArrayBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	var src *ArrayVal
 	if a.K == KArray {
-		src = a.Arr
+		src = a.Arr()
 	} else {
-		src = b.Arr
+		src = b.Arr()
 	}
 	out := &ArrayVal{Dom: src.Dom, Layout: src.Dom, ElemT: src.ElemT, Data: make([]Value, src.Dom.Size()), LocaleID: src.LocaleID}
 	var extra uint64
@@ -1029,14 +1028,14 @@ func (m *VM) evalArrayBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 		src.Dom.Unlinear(p, ia)
 		ea, eb := a, b
 		if a.K == KArray {
-			c := a.Arr.Cell(ia)
+			c := a.Arr().Cell(ia)
 			if c == nil {
 				return Value{}, 0, false
 			}
 			ea = c
 		}
 		if b.K == KArray {
-			c := b.Arr.Cell(ia)
+			c := b.Arr().Cell(ia)
 			if c == nil {
 				return Value{}, 0, false
 			}
@@ -1049,7 +1048,7 @@ func (m *VM) evalArrayBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 		out.Data[p] = v
 		extra += e + m.cost(costs.PerElem)
 	}
-	return Value{K: KArray, Arr: out}, extra, true
+	return ArrVal(out), extra, true
 }
 
 func evalUn(op token.Kind, a *Value) (Value, bool) {
@@ -1108,9 +1107,9 @@ func (m *VM) defaultValue(t types.Type) Value {
 	case *types.AtomicType:
 		return m.defaultValue(tt.Elem)
 	case *types.RangeType:
-		return Value{K: KRange, Rng: RangeVal{Lo: 0, Hi: -1, Stride: 1}}
+		return RngVal(RangeVal{Lo: 0, Hi: -1, Stride: 1})
 	case *types.DomainType:
-		return Value{K: KDomain, Dom: DomainVal{Rank: tt.Rank}}
+		return DomVal(DomainVal{Rank: tt.Rank})
 	case *types.ArrayType:
 		// Unallocated array slot: filled by OpAllocArray or cloning.
 		return Value{}
@@ -1121,12 +1120,12 @@ func (m *VM) defaultValue(t types.Type) Value {
 // defaultRecord builds a record value, allocating array fields over their
 // registered global domains.
 func (m *VM) defaultRecord(rt *types.RecordType, ownerVar *ir.Var) Value {
-	out := Value{K: KRecord, RT: rt, Elems: make([]Value, len(rt.Fields))}
+	out := Value{K: KRecord, Elems: make([]Value, len(rt.Fields))}
 	for i, f := range rt.Fields {
 		if at, ok := f.Type.(*types.ArrayType); ok {
 			if dv, ok2 := m.fieldDomainValue(rt, i); ok2 {
 				arr, _ := m.allocArray(nil, at.Elem, dv, nil, ownerVar)
-				out.Elems[i] = Value{K: KArray, Arr: arr}
+				out.Elems[i] = ArrVal(arr)
 				continue
 			}
 		}
@@ -1149,7 +1148,7 @@ func (m *VM) fieldDomainValue(rt *types.RecordType, i int) (DomainVal, bool) {
 	if v.K != KDomain {
 		return DomainVal{}, false
 	}
-	return v.Dom, true
+	return v.Dom(), true
 }
 
 // allocArray creates an array over dom; nested element arrays are
@@ -1180,7 +1179,7 @@ func (m *VM) allocArray(t *Task, elemT types.Type, dom DomainVal, inner *DomainV
 				d = *inner
 			}
 			sub, e := m.allocArray(t, et.Elem, d, nil, ownerVar)
-			arr.Data[i] = Value{K: KArray, Arr: sub}
+			arr.Data[i] = ArrVal(sub)
 			extra += e
 		}
 	case *types.RecordType:
@@ -1226,7 +1225,7 @@ func (m *VM) allocInstance(t *Task, rt *types.RecordType, ownerVar *ir.Var) (*In
 		if at, ok := f.Type.(*types.ArrayType); ok {
 			if dv, ok2 := m.fieldDomainValue(rt, i); ok2 {
 				arr, e := m.allocArray(t, at.Elem, dv, nil, ownerVar)
-				obj.Fields[i] = Value{K: KArray, Arr: arr}
+				obj.Fields[i] = ArrVal(arr)
 				extra += e
 				continue
 			}
@@ -1254,7 +1253,7 @@ func (m *VM) allocInstance(t *Task, rt *types.RecordType, ownerVar *ir.Var) (*In
 func (m *VM) doCall(t *Task, in *ir.Instr) {
 	callee := in.Callee
 	act := t.Top()
-	na := m.newActivation(callee, frameSlots(callee))
+	na := m.newActivation(callee)
 	if len(callee.Blocks) > 0 {
 		na.Block = callee.Blocks[0]
 	}
@@ -1268,7 +1267,7 @@ func (m *VM) doCall(t *Task, in *ir.Instr) {
 			if av == m.hereVar {
 				na.Slots[p.Slot] = Value{K: KLocale, I: int64(t.Locale)}
 			} else {
-				na.Slots[p.Slot] = makeRef(m.cellOf(t, av))
+				na.Slots[p.Slot] = MakeRef(m.cellOf(t, av))
 			}
 		} else {
 			v := m.readPtr(t, av)

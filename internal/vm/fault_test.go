@@ -100,10 +100,10 @@ func (p *panicAfter) Exec(uint64, *vm.Task, *ir.Instr, *vm.ArrayVal) {
 		panic("monitor exploded")
 	}
 }
-func (p *panicAfter) Spin(uint64, *vm.Task, *ir.Func)          {}
-func (p *panicAfter) PreSpawn(*vm.Task, uint64)                {}
-func (p *panicAfter) Alloc(uint64, int64, *ir.Var)             {}
-func (p *panicAfter) Comm(int64, int, int, *ir.Var, *ir.Instr) {}
+func (p *panicAfter) Spin(uint64, *vm.Task, *ir.Func)                  {}
+func (p *panicAfter) PreSpawn(*vm.Task, uint64)                        {}
+func (p *panicAfter) Alloc(uint64, int64, *ir.Var)                     {}
+func (p *panicAfter) Comm(uint64, int64, int, int, *ir.Var, *ir.Instr) {}
 
 func TestTaskPanicRecoveredIntoDiagnostics(t *testing.T) {
 	src := `

@@ -39,7 +39,7 @@ func (c *msgTally) Spin(uint64, *vm.Task, *ir.Func) {}
 func (c *msgTally) PreSpawn(*vm.Task, uint64)       {}
 func (c *msgTally) Alloc(uint64, int64, *ir.Var)    {}
 
-func (c *msgTally) Comm(bytes int64, _, _ int, _ *ir.Var, in *ir.Instr) {
+func (c *msgTally) Comm(_ uint64, bytes int64, _, _ int, _ *ir.Var, in *ir.Instr) {
 	c.msgs++
 	c.bytes += bytes
 	if in == nil {

@@ -57,7 +57,7 @@ func unknownOf(v *Value, refs bool) Value {
 	v = v.Deref()
 	switch {
 	case v.K == KTuple || v.K == KRecord:
-		out := Value{K: v.K, RT: v.RT, Elems: make([]Value, len(v.Elems))}
+		out := Value{K: v.K, Elems: make([]Value, len(v.Elems))}
 		for i := range v.Elems {
 			out.Elems[i] = unknownOf(&v.Elems[i], refs)
 		}
@@ -65,7 +65,7 @@ func unknownOf(v *Value, refs bool) Value {
 	case refs && (v.K == KClass || v.K == KNil):
 		return *v
 	case refs && v.K == KArray:
-		return Value{K: KUnk, Arr: v.Arr}
+		return Value{K: KUnk, p: v.Arr()}
 	}
 	return Value{K: KUnk}
 }
@@ -137,8 +137,9 @@ func (m *VM) skelBuiltin(t *Task, in *ir.Instr) (cycles uint64, handled, ok bool
 // reference exactly as over the array; the result stays unknown.
 func (m *VM) evalUnknownArrayBin(op token.Kind, a, b *Value) (Value, uint64, bool) {
 	known := func(v *Value) *Value {
-		if v.K == KUnk && v.Arr != nil {
-			return &Value{K: KArray, Arr: v.Arr}
+		if v.K == KUnk && v.Arr() != nil {
+			u := ArrVal(v.Arr())
+			return &u
 		}
 		return v
 	}

@@ -23,7 +23,7 @@ func (m *VM) doSpawn(t *Task, in *ir.Instr) {
 		if av == m.hereVar {
 			captures[i] = Value{K: KLocale, I: int64(t.Locale)}
 		} else {
-			captures[i] = makeRef(m.cellOf(t, av))
+			captures[i] = MakeRef(m.cellOf(t, av))
 		}
 	}
 
@@ -51,7 +51,7 @@ func (m *VM) doSpawn(t *Task, in *ir.Instr) {
 				extra := sp.ExtraArgs[i-1]
 				bodyArgs = make([]Value, len(extra))
 				for k, av := range extra {
-					bodyArgs[k] = makeRef(m.cellOf(t, av))
+					bodyArgs[k] = MakeRef(m.cellOf(t, av))
 				}
 			}
 			m.pushFrame(child, bf, bodyArgs, nil)
@@ -260,11 +260,11 @@ func (m *VM) iterSpace(t *Task, in *ir.Instr) (DomainVal, bool) {
 	v := m.readVal(t, sp.Iter)
 	switch v.K {
 	case KRange:
-		return DomainVal{Rank: 1, Dims: [3]RangeVal{v.Rng}}, true
+		return DomainVal{Rank: 1, Dims: [3]RangeVal{v.Rng()}}, true
 	case KDomain:
-		return v.Dom, true
+		return v.Dom(), true
 	case KArray:
-		return v.Arr.Dom, true
+		return v.Arr().Dom, true
 	case KUnk:
 		m.fail(t, in, "forall over unknown iteration space at %v", in.Pos)
 		return DomainVal{}, false
@@ -304,8 +304,8 @@ func (m *VM) enqueue(child *Task, parent *Task) {
 }
 
 // startIterCall pushes the outlined body frame for the task's next index.
-// Index and argument scratch live in the iterState and are reused across
-// iterations (pushFrame copies the values into the frame).
+// Index and argument scratch are reused across iterations (pushFrame
+// copies the values into the frame).
 func (m *VM) startIterCall(t *Task) {
 	it := t.iter
 	idx := it.idxBuf[:it.space.Rank]
@@ -313,14 +313,12 @@ func (m *VM) startIterCall(t *Task) {
 	it.pos++
 
 	body := it.body
-	if need := it.space.Rank + len(it.captures); cap(it.argBuf) < need {
-		it.argBuf = make([]Value, 0, need)
-	}
-	args := it.argBuf[:0]
+	args := m.argScratch[:0]
 	for i := 0; i < len(idx) && i < len(body.Params); i++ {
 		args = append(args, IntVal(idx[i]))
 	}
 	args = append(args, it.captures...)
+	m.argScratch = args
 	m.rtCharge(t, m.cost(costs.IterPerCall+costs.CallOverhead), "chpl_task_callTaskFunction")
 	na := m.pushFrame(t, body, args, nil)
 	na.CallSite = it.site

@@ -41,22 +41,77 @@ const (
 	KUnk
 )
 
-// Value is a runtime value. Records and tuples store their elements in
-// Elems; assignment deep-copies them (value semantics), while arrays and
-// class instances are reference descriptors.
+// Value is a runtime value, one cache line (64 bytes): every array
+// element, frame slot and default template is one, so its size is what
+// the interpreter copies, zeroes and the GC scans. Scalars live inline
+// (I, F, B). Records and tuples store their elements in Elems;
+// assignment deep-copies them (value semantics), while arrays and class
+// instances are reference descriptors.
+//
+// Everything else sits behind p, one kind-tagged reference: *ArrayVal
+// (KArray, and KUnk keeping its allocation), *Value (KRef, followed by
+// Deref), *Instance (KClass), and the boxed payloads *DomainVal
+// (KDomain), *RangeVal (KRange) and *string (KString), read through the
+// accessors below. Copies share a boxed payload, so it is immutable once
+// built: its accessor returns a copy, and a changed domain, range or
+// string is a new Value (DomVal, RngVal, StrVal).
 type Value struct {
 	K     Kind
+	B     bool
 	I     int64
 	F     float64
-	B     bool
-	S     string
 	Elems []Value
-	RT    *types.RecordType // for KRecord
-	Arr   *ArrayVal
-	Dom   DomainVal
-	Rng   RangeVal
-	Ref   *Value
-	Obj   *Instance
+	p     any
+}
+
+// ArrVal makes a KArray value.
+func ArrVal(a *ArrayVal) Value { return Value{K: KArray, p: a} }
+
+// ObjVal makes a KClass handle.
+func ObjVal(o *Instance) Value { return Value{K: KClass, p: o} }
+
+// DomVal makes a KDomain value over a private copy of d.
+func DomVal(d DomainVal) Value { return Value{K: KDomain, p: &d} }
+
+// RngVal makes a KRange value over a private copy of r.
+func RngVal(r RangeVal) Value { return Value{K: KRange, p: &r} }
+
+// Arr is the array a KArray value (or a KUnk keeping its allocation)
+// names, else nil.
+func (v *Value) Arr() *ArrayVal {
+	a, _ := v.p.(*ArrayVal)
+	return a
+}
+
+// Obj is the instance a KClass handle names, else nil (also for a nil
+// handle).
+func (v *Value) Obj() *Instance {
+	o, _ := v.p.(*Instance)
+	return o
+}
+
+// Dom returns a KDomain value's index set (the zero domain otherwise).
+func (v *Value) Dom() DomainVal {
+	if d, ok := v.p.(*DomainVal); ok {
+		return *d
+	}
+	return DomainVal{}
+}
+
+// Rng returns a KRange value's range (the zero range otherwise).
+func (v *Value) Rng() RangeVal {
+	if r, ok := v.p.(*RangeVal); ok {
+		return *r
+	}
+	return RangeVal{}
+}
+
+// Str returns a KString value's text ("" otherwise).
+func (v *Value) Str() string {
+	if s, ok := v.p.(*string); ok {
+		return *s
+	}
+	return ""
 }
 
 // Copy returns a deep copy with value semantics (tuples/records copied,
@@ -72,11 +127,10 @@ func (v Value) Copy() Value {
 }
 
 // copyValueInto deep-copies *src into *dst with the same semantics as
-// Copy, but without passing the ~200-byte Value through parameters and
-// return slots (the interpreter's hottest copy path). It tolerates
-// aliasing — dst == src, or src pointing into dst's element storage —
-// because the source element slice is captured before dst's header is
-// overwritten.
+// Copy, but without passing the Value through parameters and return
+// slots (the interpreter's hottest copy path). It tolerates aliasing —
+// dst == src, or src pointing into dst's element storage — because the
+// source element slice is captured before dst's header is overwritten.
 func copyValueInto(dst, src *Value) {
 	if src.K == KTuple || src.K == KRecord {
 		elems := src.Elems
@@ -141,7 +195,7 @@ func (v Value) FlatSize() int {
 func (v *Value) Deref() *Value {
 	x := v
 	for x.K == KRef {
-		x = x.Ref
+		x = x.p.(*Value)
 	}
 	return x
 }
@@ -157,7 +211,7 @@ func (v Value) String() string {
 	case KBool:
 		return fmt.Sprintf("%t", v.B)
 	case KString:
-		return v.S
+		return v.Str()
 	case KTuple, KRecord:
 		var b strings.Builder
 		b.WriteByte('(')
@@ -170,18 +224,18 @@ func (v Value) String() string {
 		b.WriteByte(')')
 		return b.String()
 	case KArray:
-		return v.Arr.String()
+		return v.Arr().String()
 	case KDomain:
-		return v.Dom.String()
+		return v.Dom().String()
 	case KRange:
-		return v.Rng.String()
+		return v.Rng().String()
 	case KRef:
 		return v.Deref().String()
 	case KClass:
-		if v.Obj == nil {
-			return "nil"
+		if o := v.Obj(); o != nil {
+			return "{" + o.String() + "}"
 		}
-		return "{" + v.Obj.String() + "}"
+		return "nil"
 	case KLocale:
 		return fmt.Sprintf("LOCALE%d", v.I)
 	}
@@ -243,7 +297,12 @@ func RealVal(f float64) Value { return Value{K: KReal, F: f} }
 func BoolVal(b bool) Value { return Value{K: KBool, B: b} }
 
 // StrVal makes a KString value.
-func StrVal(s string) Value { return Value{K: KString, S: s} }
+func StrVal(s string) Value {
+	if s == "" {
+		return Value{K: KString}
+	}
+	return Value{K: KString, p: &s}
+}
 
 // ------------------------------------------------------------------ range
 
@@ -408,6 +467,15 @@ func (a *ArrayVal) ElemHome(idx []int64) int {
 		home = o.NumLoc - 1
 	}
 	return home
+}
+
+// HomeOf returns the locale owning the element at layout-linear
+// position elem (comm.Homes).
+func (a *ArrayVal) HomeOf(elem int64) int {
+	var buf [3]int64
+	ix := buf[:a.Layout.Rank]
+	a.Layout.Unlinear(elem, ix)
+	return a.ElemHome(ix)
 }
 
 // Owner follows view links to the owning allocation.

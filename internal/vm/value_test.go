@@ -116,9 +116,9 @@ func TestValueCopySharesArrays(t *testing.T) {
 	arr := &ArrayVal{Dom: DomainVal{Rank: 1, Dims: [3]RangeVal{{0, 3, 1}}}}
 	arr.Layout = arr.Dom
 	arr.Data = make([]Value, 4)
-	v := Value{K: KArray, Arr: arr}
+	v := ArrVal(arr)
 	c := v.Copy()
-	if c.Arr != arr {
+	if c.Arr() != arr {
 		t.Error("array descriptors must be shared by Copy (reference semantics)")
 	}
 }
@@ -139,15 +139,15 @@ func TestFlatSize(t *testing.T) {
 
 func TestDerefChains(t *testing.T) {
 	target := IntVal(42)
-	r1 := Value{K: KRef, Ref: &target}
-	r2 := Value{K: KRef, Ref: &r1}
+	r1 := MakeRef(&target)
+	r2 := Value{K: KRef, p: &r1}
 	if r2.Deref().I != 42 {
 		t.Error("deref chain broken")
 	}
-	// makeRef collapses ref-of-ref.
-	mr := makeRef(&r1)
-	if mr.Ref != &target {
-		t.Error("makeRef must collapse to the ultimate cell")
+	// MakeRef collapses ref-of-ref.
+	mr := MakeRef(&r1)
+	if mr.p.(*Value) != &target {
+		t.Error("MakeRef must collapse to the ultimate cell")
 	}
 }
 
@@ -189,7 +189,7 @@ func TestSliceArrayViews(t *testing.T) {
 		Data:   make([]Value, 10),
 		ElemT:  types.RealType,
 	}
-	view, errs := sliceArray(owner, Value{K: KRange, Rng: RangeVal{2, 5, 1}})
+	view, errs := sliceArray(owner, RngVal(RangeVal{2, 5, 1}))
 	if errs != "" {
 		t.Fatal(errs)
 	}
@@ -202,7 +202,7 @@ func TestSliceArrayViews(t *testing.T) {
 		t.Error("view write did not alias owner storage")
 	}
 	// Sub-slicing a view still chains to the root owner.
-	sub, _ := sliceArray(view, Value{K: KRange, Rng: RangeVal{3, 4, 1}})
+	sub, _ := sliceArray(view, RngVal(RangeVal{3, 4, 1}))
 	if sub.Owner() != owner {
 		t.Error("sub-view owner chain broken")
 	}

@@ -36,21 +36,22 @@ type Listener interface {
 	// Comm reports one charged data message: bytes moved from locale
 	// from (the element's home) to locale to on behalf of the variable
 	// owning the accessed allocation — the paper's §VI plan to "blame
-	// communication cost back to key data structures". in is the
-	// accessing instruction, nil for messages the aggregation runtime
-	// sends at task end or at a forall barrier. Every message counted in
-	// Stats.CommMessages is reported exactly once.
-	Comm(bytes int64, from, to int, owner *ir.Var, in *ir.Instr)
+	// communication cost back to key data structures" — and the cycles
+	// the VM charged for it. in is the accessing instruction, nil for
+	// messages the aggregation runtime sends at task end or at a forall
+	// barrier. Every message counted in Stats.CommMessages is reported
+	// exactly once.
+	Comm(cycles uint64, bytes int64, from, to int, owner *ir.Var, in *ir.Instr)
 }
 
 // nopListener is used when no profiler is attached.
 type nopListener struct{}
 
-func (nopListener) Exec(uint64, *Task, *ir.Instr, *ArrayVal) {}
-func (nopListener) Spin(uint64, *Task, *ir.Func)             {}
-func (nopListener) PreSpawn(*Task, uint64)                   {}
-func (nopListener) Alloc(uint64, int64, *ir.Var)             {}
-func (nopListener) Comm(int64, int, int, *ir.Var, *ir.Instr) {}
+func (nopListener) Exec(uint64, *Task, *ir.Instr, *ArrayVal)         {}
+func (nopListener) Spin(uint64, *Task, *ir.Func)                     {}
+func (nopListener) PreSpawn(*Task, uint64)                           {}
+func (nopListener) Alloc(uint64, int64, *ir.Var)                     {}
+func (nopListener) Comm(uint64, int64, int, int, *ir.Var, *ir.Instr) {}
 
 // Config parameterizes a run.
 type Config struct {
@@ -161,16 +162,14 @@ type Activation struct {
 	CallSite *ir.Instr
 }
 
-// maxActFree bounds the activation free list (frames beyond this go back
+// maxActFree bounds the pooled activations (frames beyond this go back
 // to the garbage collector).
 const maxActFree = 256
 
 // iterState drives a forall/coforall chunk: the task repeatedly invokes
 // the outlined body for each index in [pos, end). start records the
 // chunk's first position so the comm runtime can see the whole sweep.
-// idxBuf/argBuf are per-chunk scratch reused across iterations (pushFrame
-// copies argument values into the frame, so the backing arrays are free
-// to be overwritten by the next index).
+// idxBuf is per-chunk index scratch reused across iterations.
 type iterState struct {
 	body     *ir.Func
 	captures []Value
@@ -179,7 +178,6 @@ type iterState struct {
 	start    int64
 	site     *ir.Instr
 	idxBuf   [3]int64
-	argBuf   []Value
 }
 
 // joinGroup tracks outstanding child tasks for a blocking construct.
@@ -291,18 +289,25 @@ type VM struct {
 	// per iteration.
 	rtFns        map[string]*ir.Func
 	fnSchedYield *ir.Func
-	// actFree recycles popped activations (and their slot arrays).
-	// Disabled (poolOff) for programs using non-blocking `begin`, whose
-	// captured references may outlive the spawning frame.
-	actFree []*Activation
-	poolOff bool
+	// actFree recycles popped activations (and their zeroed slot
+	// arrays) per function: actFree[f.ID] holds frames of f, whose slot
+	// count never changes, so a pooled frame always fits exactly however
+	// frame sizes alternate. actFreeN counts them. Disabled (poolOff)
+	// for programs using non-blocking `begin`, whose captured references
+	// may outlive the spawning frame.
+	actFree  [][]*Activation
+	actFreeN int
+	poolOff  bool
 	// defSlots caches each function's precomputed local default
 	// initializers, replacing a per-frame type walk.
 	defSlots map[*ir.Func][]defSlot
 	// hereTmp backs readPtr's resolution of the `here` pseudo-variable;
-	// idxScratch backs elemCell's resolved index (rank <= 3).
+	// idxScratch backs elemCell's resolved index (rank <= 3); argScratch
+	// backs startIterCall's arguments, which pushFrame copies into the
+	// frame before the next iteration of any task reuses it.
 	hereTmp    Value
 	idxScratch [3]int64
+	argScratch []Value
 	// sliceFn, when non-nil, replaces the interpreter's slice loop with a
 	// compiled backend's dispatch (see backend.go). Resolved once at VM
 	// construction from the per-program registry.
@@ -397,6 +402,11 @@ func New(prog *ir.Program, cfg Config) *VM {
 	}
 	m.fnSchedYield = m.rtFns["__sched_yield"]
 	m.defSlots = make(map[*ir.Func][]defSlot)
+	maxID := -1
+	for _, f := range prog.Funcs {
+		maxID = max(maxID, f.ID)
+	}
+	m.actFree = make([][]*Activation, maxID+1)
 	// `begin` children don't block their parent, so captured references
 	// may still point into frames that have returned; recycling those
 	// frames would alias live refs. Blocking constructs (forall, coforall,
@@ -439,7 +449,7 @@ func (m *VM) initPredeclared() {
 				for i := range arr.Data {
 					arr.Data[i] = Value{K: KLocale, I: int64(i)}
 				}
-				m.globals[g.Slot] = Value{K: KArray, Arr: arr}
+				m.globals[g.Slot] = ArrVal(arr)
 			}
 		case "here":
 			if g.Sym != nil && g.Sym.Owner == nil {
@@ -497,38 +507,32 @@ func (m *VM) runRoot(fn *ir.Func) error {
 	return m.schedule()
 }
 
-// newActivation allocates (or recycles) a frame with n zeroed slots.
-func (m *VM) newActivation(fn *ir.Func, n int) *Activation {
-	if k := len(m.actFree); k > 0 {
-		act := m.actFree[k-1]
-		m.actFree[k-1] = nil
-		m.actFree = m.actFree[:k-1]
-		act.F = fn
-		act.Idx = 0
-		act.RetDst = nil
-		act.CallSite = nil
-		act.Block = nil
-		if cap(act.Slots) >= n {
-			s := act.Slots[:n]
-			for i := range s {
-				s[i] = Value{}
-			}
-			act.Slots = s
-		} else {
-			act.Slots = make([]Value, n)
+// newActivation allocates (or recycles) a frame for fn with zeroed
+// slots.
+func (m *VM) newActivation(fn *ir.Func) *Activation {
+	if uint(fn.ID) < uint(len(m.actFree)) {
+		if free := m.actFree[fn.ID]; len(free) > 0 {
+			act := free[len(free)-1]
+			free[len(free)-1] = nil
+			m.actFree[fn.ID] = free[:len(free)-1]
+			m.actFreeN--
+			*act = Activation{F: fn, Slots: act.Slots}
+			return act
 		}
-		return act
 	}
-	return &Activation{F: fn, Slots: make([]Value, n)}
+	return &Activation{F: fn, Slots: make([]Value, frameSlots(fn))}
 }
 
-// freeActivation returns a popped frame to the pool. Callers must not
-// retain act afterwards.
+// freeActivation zeroes a popped frame's slots and returns it to the
+// pool. Callers must not retain act afterwards.
 func (m *VM) freeActivation(act *Activation) {
-	if m.poolOff || len(m.actFree) >= maxActFree {
+	id := act.F.ID
+	if m.poolOff || m.actFreeN >= maxActFree || uint(id) >= uint(len(m.actFree)) {
 		return
 	}
-	m.actFree = append(m.actFree, act)
+	clear(act.Slots)
+	m.actFree[id] = append(m.actFree[id], act)
+	m.actFreeN++
 }
 
 // frameSlots returns the slot count of a frame for fn.
@@ -543,7 +547,7 @@ func frameSlots(fn *ir.Func) int {
 // pushFrame enters fn on task t. args are pre-bound parameter values
 // (may be nil for zero-arg roots).
 func (m *VM) pushFrame(t *Task, fn *ir.Func, args []Value, retDst *Value) *Activation {
-	act := m.newActivation(fn, frameSlots(fn))
+	act := m.newActivation(fn)
 	if len(fn.Blocks) > 0 {
 		act.Block = fn.Blocks[0]
 	}
