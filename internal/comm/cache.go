@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"container/list"
 	"sort"
 
 	"repro/internal/ir"
@@ -21,24 +20,62 @@ type centry struct {
 	bytes int64
 	dirty bool
 	task  int // last writer (dirty entries)
-	lru   *list.Element
+	// prev and next link the LRU list through slab indices (noSlot = -1);
+	// next also links the free list.
+	prev, next int32
 }
 
+// noSlot marks the end of an intrusive list.
+const noSlot = -1
+
 // cache is one locale's software cache for remote elements. Eviction is
-// strict LRU (container/list keeps it deterministic: no map iteration
-// decides victims).
+// strict LRU through a list threaded through the entries themselves (no
+// map iteration decides victims). Entries live in one slab; an eviction
+// reuses its victim's slot, so a full cache allocates nothing per insert.
 type cache struct {
 	cap     int
-	entries map[ckey]*centry
-	order   *list.List // front = most recently used; values are *centry
+	entries map[ckey]int32 // slab index of each resident entry
+	slab    []centry
+	// head is the most and tail the least recently used entry; free
+	// lists the slots drop released.
+	head, tail, free int32
 }
 
 func newCache(capacity int) *cache {
 	return &cache{
 		cap:     capacity,
-		entries: make(map[ckey]*centry),
-		order:   list.New(),
+		entries: make(map[ckey]int32),
+		head:    noSlot,
+		tail:    noSlot,
+		free:    noSlot,
 	}
+}
+
+// unlink removes slot i from the LRU list.
+func (c *cache) unlink(i int32) {
+	e := &c.slab[i]
+	if e.prev != noSlot {
+		c.slab[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next != noSlot {
+		c.slab[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
+// pushFront makes slot i the most recently used entry.
+func (c *cache) pushFront(i int32) {
+	e := &c.slab[i]
+	e.prev, e.next = noSlot, c.head
+	if c.head != noSlot {
+		c.slab[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
 }
 
 // has reports residency and touches the entry's recency.
@@ -46,14 +83,18 @@ func (c *cache) has(arr uint64, elem int64) bool {
 	return c.get(arr, elem) != nil
 }
 
-// get returns the resident entry (touching recency) or nil.
+// get returns the resident entry (touching recency) or nil. The pointer
+// is valid until the next insert.
 func (c *cache) get(arr uint64, elem int64) *centry {
-	e, ok := c.entries[ckey{arr, elem}]
+	i, ok := c.entries[ckey{arr, elem}]
 	if !ok {
 		return nil
 	}
-	c.order.MoveToFront(e.lru)
-	return e
+	if i != c.head {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+	return &c.slab[i]
 }
 
 // insert adds an element copy, evicting the LRU entry when full. An
@@ -62,22 +103,28 @@ func (c *cache) insert(v *ir.Var, arr uint64, elem int64, home int, bytes int64,
 	if c.cap <= 0 {
 		return
 	}
-	for len(c.entries) >= c.cap {
-		back := c.order.Back()
-		if back == nil {
-			break
-		}
-		victim := back.Value.(*centry)
-		c.order.Remove(back)
+	for len(c.entries) >= c.cap && c.tail != noSlot {
+		i := c.tail
+		victim := &c.slab[i]
+		c.unlink(i)
 		delete(c.entries, victim.key)
 		r.stats.Evictions++
 		if victim.dirty {
 			r.send(Event{Kind: EvFlush, Var: victim.v, From: victim.home, To: c.loc(r), Bytes: victim.bytes, Elems: 1})
 		}
+		victim.next = c.free
+		c.free = i
 	}
-	e := &centry{key: ckey{arr, elem}, v: v, home: home, bytes: bytes, dirty: dirty, task: task}
-	e.lru = c.order.PushFront(e)
-	c.entries[e.key] = e
+	i := c.free
+	if i != noSlot {
+		c.free = c.slab[i].next
+	} else {
+		i = int32(len(c.slab))
+		c.slab = append(c.slab, centry{})
+	}
+	c.slab[i] = centry{key: ckey{arr, elem}, v: v, home: home, bytes: bytes, dirty: dirty, task: task}
+	c.pushFront(i)
+	c.entries[ckey{arr, elem}] = i
 }
 
 // loc finds this cache's locale index (only needed on the rare eviction
@@ -93,12 +140,14 @@ func (c *cache) loc(r *Runtime) int {
 
 // drop removes a copy (invalidation). Returns whether one was resident.
 func (c *cache) drop(arr uint64, elem int64) bool {
-	e, ok := c.entries[ckey{arr, elem}]
+	i, ok := c.entries[ckey{arr, elem}]
 	if !ok {
 		return false
 	}
-	c.order.Remove(e.lru)
-	delete(c.entries, e.key)
+	c.unlink(i)
+	delete(c.entries, ckey{arr, elem})
+	c.slab[i].next = c.free
+	c.free = i
 	return true
 }
 
@@ -107,8 +156,8 @@ func (c *cache) drop(arr uint64, elem int64) bool {
 // contiguous same-home, same-array neighbors share one message.
 func (c *cache) flushTask(task, loc int, r *Runtime) {
 	var dirty []*centry
-	for _, e := range c.entries {
-		if e.dirty && (task < 0 || e.task == task) {
+	for _, i := range c.entries {
+		if e := &c.slab[i]; e.dirty && (task < 0 || e.task == task) {
 			dirty = append(dirty, e)
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
@@ -71,10 +73,11 @@ type instrBlame struct {
 	// exitBlamed reports whether one of the function's exit variables is
 	// blamed, i.e. whether blame bubbles to the caller.
 	exitBlamed bool
-	// actuals are the arguments caller-side transfer reads when blame
-	// bubbles through this instruction as a call or spawn site: Args, or
-	// at a cobegin the sampled body's actuals.
-	actuals []*ir.Var
+	// transfer is what caller-side transfer blames when blame bubbles
+	// through this instruction as a call or spawn site: the displayable
+	// aggregate arguments (Args, or at a cobegin the sampled body's
+	// actuals) and their global alias-class members, in argument order.
+	transfer []Blamed
 }
 
 // attribution returns in's memoized level-local attribution, building it
@@ -86,7 +89,7 @@ type instrBlame struct {
 func (fa *FuncAnalysis) attribution(a *Analysis, in *ir.Instr) *instrBlame {
 	idx, ok := fa.index[in]
 	if !ok {
-		return &instrBlame{actuals: in.Args}
+		return &instrBlame{transfer: a.transfer(in, in.Args)}
 	}
 	slot := &fa.memo[idx]
 	if ib := slot.Load(); ib != nil {
@@ -140,7 +143,7 @@ func (fa *FuncAnalysis) levelAttribution(a *Analysis, in *ir.Instr, body *ir.Fun
 
 // buildAttribution scans fa's blame sets for the instruction at idx (or
 // its line, at line granularity), skipping the alias classes in exclude.
-// actuals become the result's transfer actuals.
+// actuals are what the result's caller-side transfer reads.
 func (fa *FuncAnalysis) buildAttribution(a *Analysis, in *ir.Instr, idx int, exclude map[*ir.Var]bool, actuals []*ir.Var) *instrBlame {
 	blamedRep := func(rep *ir.Var) bool {
 		if exclude[rep] {
@@ -153,7 +156,7 @@ func (fa *FuncAnalysis) buildAttribution(a *Analysis, in *ir.Instr, idx int, exc
 		s := fa.blame[rep]
 		return s != nil && s.has(idx)
 	}
-	ib := &instrBlame{actuals: actuals}
+	ib := &instrBlame{transfer: a.transfer(in, actuals)}
 	seen := make(map[*sem.Symbol]bool)
 	addVar := func(v *ir.Var) {
 		if displayable(v) && !seen[v.Sym] {
@@ -201,6 +204,32 @@ func (fa *FuncAnalysis) buildAttribution(a *Analysis, in *ir.Instr, idx int, exc
 	return ib
 }
 
+// transfer lists the caller-side transfer at call or spawn site in
+// reached through a blamed exit: "establish a blame relationship between
+// the blamed parameter(s) and the parameter(s) that are not blamed in the
+// caller" (§IV.A) — the other arguments fed the blamed work.
+func (a *Analysis) transfer(in *ir.Instr, actuals []*ir.Var) []Blamed {
+	if in.Op != ir.OpCall && in.Op != ir.OpSpawn {
+		return nil
+	}
+	var out []Blamed
+	add := func(v *ir.Var) {
+		if displayable(v) {
+			out = append(out, Blamed{Sym: v.Sym, Var: v})
+		}
+	}
+	for _, arg := range actuals {
+		if !aggregateArg(arg) {
+			continue
+		}
+		add(arg)
+		for _, g := range a.globalMembers[a.find(arg)] {
+			add(g)
+		}
+	}
+	return out
+}
+
 // AttributeSample maps one sample (as a resolved call path, innermost
 // first) to the set of blamed variables and access paths — the paper's
 // step 3: level-0 blame from the sampled instruction's membership in
@@ -210,8 +239,76 @@ func (fa *FuncAnalysis) buildAttribution(a *Analysis, in *ir.Instr, idx int, exc
 // Each level's own blame is memoized per instruction (per instruction and
 // body at a cobegin spawn, whose bodies write different actuals), so a
 // sample costs one lookup per frame. The result may share the memo's
-// storage: callers must treat it as read-only.
+// storage: callers must treat it as read-only. A call allocates at most
+// the slice it returns.
 func (a *Analysis) AttributeSample(path []Frame) []Blamed {
+	ib := a.sampled(path)
+	if !a.bubbles(path, ib) {
+		return ib.own()
+	}
+	var buf, callers [32]Blamed
+	return slices.Clone(merge(append(buf[:0], ib.blamed...), a.bubble(callers[:0], path)))
+}
+
+// An Attributor attributes the sampled paths of one profile. Paths that
+// differ only in their sampled instruction share their callers, so it
+// bubbles blame through each distinct call chain once and keeps that for
+// its own lifetime; nothing outlives it. It is not safe for concurrent
+// use.
+type Attributor struct {
+	a *Analysis
+	// chains holds what each call chain's callers blame, keyed by the
+	// innermost function and the caller frames.
+	chains map[string][]Blamed
+	key    []byte
+	out    []Blamed
+}
+
+// NewAttributor returns an Attributor for samples of a's program.
+func (a *Analysis) NewAttributor() *Attributor {
+	return &Attributor{a: a, chains: make(map[string][]Blamed)}
+}
+
+// Attribute returns what AttributeSample(path) returns, in the same
+// order. The result is read-only and valid until the next call.
+func (t *Attributor) Attribute(path []Frame) []Blamed {
+	ib := t.a.sampled(path)
+	if !t.a.bubbles(path, ib) {
+		return ib.own()
+	}
+	t.key = binary.AppendUvarint(t.key[:0], funcKey(path[0].Fn))
+	for _, fr := range path[1:] {
+		t.key = binary.AppendUvarint(t.key, funcKey(fr.Fn))
+		t.key = binary.AppendUvarint(t.key, instrKey(fr.Instr))
+	}
+	callers, ok := t.chains[string(t.key)]
+	if !ok {
+		callers = slices.Clip(t.a.bubble(nil, path))
+		t.chains[string(t.key)] = callers
+	}
+	t.out = merge(append(t.out[:0], ib.blamed...), callers)
+	return t.out
+}
+
+// funcKey and instrKey identify a frame's parts in a chain key (0 for
+// none).
+func funcKey(f *ir.Func) uint64 {
+	if f == nil {
+		return 0
+	}
+	return uint64(f.ID) + 1
+}
+
+func instrKey(in *ir.Instr) uint64 {
+	if in == nil {
+		return 0
+	}
+	return in.Addr + 1
+}
+
+// sampled returns the level-local attribution of path's sampled
+// instruction, or nil when path has none.
+func (a *Analysis) sampled(path []Frame) *instrBlame {
 	if len(path) == 0 {
 		return nil
 	}
@@ -219,39 +316,32 @@ func (a *Analysis) AttributeSample(path []Frame) []Blamed {
 	if fa == nil || path[0].Instr == nil {
 		return nil
 	}
-	ib := fa.attribution(a, path[0].Instr)
-	if len(path) == 1 || !a.Opts.Interprocedural || !ib.exitBlamed {
-		return ib.blamed
-	}
+	return fa.attribution(a, path[0].Instr)
+}
 
-	// Variables are distinct per symbol, access paths per path.
-	type seenKey struct {
-		sym  *sem.Symbol
-		path string
+// own returns ib's blame (nil for no attribution).
+func (ib *instrBlame) own() []Blamed {
+	if ib == nil {
+		return nil
 	}
-	keyOf := func(b Blamed) seenKey {
-		if b.Path != "" {
-			return seenKey{path: b.Path}
-		}
-		return seenKey{sym: b.Sym}
-	}
-	out := append([]Blamed(nil), ib.blamed...)
-	seen := make(map[seenKey]bool, len(out))
-	for _, b := range out {
-		seen[keyOf(b)] = true
-	}
+	return ib.blamed
+}
+
+// bubbles reports whether blame at path's sampled instruction, whose
+// attribution is ib, reaches its callers.
+func (a *Analysis) bubbles(path []Frame, ib *instrBlame) bool {
+	return ib != nil && len(path) > 1 && a.Opts.Interprocedural && ib.exitBlamed
+}
+
+// bubble appends to dst, once each, what path's callers blame as blame
+// bubbles up from its sampled instruction: each caller level's own
+// variables, its caller-side transfer and its access paths.
+func (a *Analysis) bubble(dst []Blamed, path []Frame) []Blamed {
 	record := func(b Blamed) {
-		if k := keyOf(b); !seen[k] {
-			seen[k] = true
-			out = append(out, b)
+		if !containsBlamed(dst, b) {
+			dst = append(dst, b)
 		}
 	}
-	recordVar := func(v *ir.Var) {
-		if displayable(v) {
-			record(Blamed{Sym: v.Sym, Var: v})
-		}
-	}
-
 	for level := 1; level < len(path); level++ {
 		fr := path[level]
 		fa := a.Funcs[fr.Fn]
@@ -262,20 +352,8 @@ func (a *Analysis) AttributeSample(path []Frame) []Blamed {
 		for _, b := range ib.blamed[:ib.nVars] {
 			record(b)
 		}
-		// Caller-side transfer at a call site reached through a blamed
-		// exit: "establish a blame relationship between the blamed
-		// parameter(s) and the parameter(s) that are not blamed in the
-		// caller" (§IV.A) — the other arguments fed the blamed work.
-		if fr.Instr.Op == ir.OpCall || fr.Instr.Op == ir.OpSpawn {
-			for _, arg := range ib.actuals {
-				if !aggregateArg(arg) {
-					continue
-				}
-				recordVar(arg)
-				for _, g := range a.globalMembers[a.find(arg)] {
-					recordVar(g)
-				}
-			}
+		for _, b := range ib.transfer {
+			record(b)
 		}
 		for _, b := range ib.blamed[ib.nVars:] {
 			record(b)
@@ -285,5 +363,33 @@ func (a *Analysis) AttributeSample(path []Frame) []Blamed {
 			break
 		}
 	}
-	return out
+	return dst
+}
+
+// merge appends to own, the sampled level's blame, the callers' entries
+// it does not hold yet.
+func merge(own, callers []Blamed) []Blamed {
+	n := len(own)
+	for _, b := range callers {
+		if !containsBlamed(own[:n], b) {
+			own = append(own, b)
+		}
+	}
+	return own
+}
+
+// containsBlamed reports whether out already holds b: variables are
+// distinct per symbol, access paths per path. A path blames a handful of
+// entries, so a linear scan beats any set.
+func containsBlamed(out []Blamed, b Blamed) bool {
+	for i := range out {
+		if b.Path != "" {
+			if out[i].Path == b.Path {
+				return true
+			}
+		} else if out[i].Path == "" && out[i].Sym == b.Sym {
+			return true
+		}
+	}
+	return false
 }

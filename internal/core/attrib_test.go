@@ -3,6 +3,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -145,8 +146,9 @@ proc main() {
 // TestAttributeSampleMatchesReference: the memoized attribution returns
 // the same blame as the full-scan reference on every instruction of every
 // built-in bench and of cobeginProg, and on random glued call paths,
-// under both granularities and with bubbling on and off. Each path is
-// attributed twice, so both the filling and the filled memo are checked.
+// under both granularities and with bubbling on and off, and an
+// Attributor returns exactly what AttributeSample does. Each path is
+// attributed twice, so both the filling and the filled memos are checked.
 func TestAttributeSampleMatchesReference(t *testing.T) {
 	var bubbled atomic.Int64 // paths whose blame reached a caller frame
 	t.Run("benches", func(t *testing.T) {
@@ -164,15 +166,21 @@ func TestAttributeSampleMatchesReference(t *testing.T) {
 						opts.LineGranularity = lines
 						opts.Interprocedural = interproc
 						a := core.Analyze(res.Prog, opts)
+						at := a.NewAttributor()
 						for i, path := range paths {
 							want := a.ReferenceAttributeSample(path)
 							if len(path) > 1 && len(want) > len(a.ReferenceAttributeSample(path[:1])) {
 								bubbled.Add(1)
 							}
 							for pass := 0; pass < 2; pass++ {
-								if got := a.AttributeSample(path); !sameBlame(got, want) {
+								got := a.AttributeSample(path)
+								if !sameBlame(got, want) {
 									t.Fatalf("lines=%t interproc=%t pass %d, path %d (%d frames, at %s):\n got  %s\n want %s",
 										lines, interproc, pass, i, len(path), path[0].Fn.Name, describe(got), describe(want))
+								}
+								if memo := at.Attribute(path); !slices.Equal(memo, got) {
+									t.Fatalf("lines=%t interproc=%t pass %d, path %d (%d frames, at %s): Attributor\n got  %s\n want %s",
+										lines, interproc, pass, i, len(path), path[0].Fn.Name, describe(memo), describe(got))
 								}
 							}
 						}

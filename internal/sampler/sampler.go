@@ -68,10 +68,6 @@ type Sampler struct {
 	prog    *ir.Program
 	counter *pmu.Counter
 	skid    pmu.SkidQueue
-	// compensate rewinds skidded samples through the per-task retirement
-	// history (the paper's planned skid-compensation feature, §IV.B).
-	compensate bool
-	history    map[int]*ring
 	// ringCap models a bounded sample ring buffer: once Samples reaches
 	// it, further samples are dropped and counted (0 = unbounded).
 	ringCap int
@@ -98,41 +94,11 @@ func WithSkid(n int) Option {
 	return func(s *Sampler) { s.skid.Skid = n }
 }
 
-// WithSkidCompensation enables compensation: skidded samples are rewound
-// through each task's instruction-retirement history, recovering the
-// instruction that actually triggered the event (paper §IV.B cites
-// ProfileMe; the paper lists this as planned future work).
-func WithSkidCompensation() Option {
-	return func(s *Sampler) {
-		s.compensate = true
-		s.history = make(map[int]*ring)
-	}
-}
-
 // WithRingBuffer bounds the sample buffer to n entries: overruns are
 // dropped (newest-lost, like a full perf ring buffer) and counted in
 // Dropped. n <= 0 keeps the buffer unbounded.
 func WithRingBuffer(n int) Option {
 	return func(s *Sampler) { s.ringCap = n }
-}
-
-// ring is a small per-task history of retired instruction addresses.
-type ring struct {
-	buf [32]uint64
-	n   int
-}
-
-func (r *ring) push(a uint64) {
-	r.buf[r.n%len(r.buf)] = a
-	r.n++
-}
-
-// back returns the address k retirements ago (0 = most recent).
-func (r *ring) back(k int) (uint64, bool) {
-	if k >= r.n || k >= len(r.buf) {
-		return 0, false
-	}
-	return r.buf[(r.n-1-k)%len(r.buf)], true
 }
 
 // New creates a sampler with the given overflow threshold in cycles
@@ -154,14 +120,6 @@ func (s *Sampler) Threshold() uint64 { return s.counter.Threshold() }
 
 // Exec implements vm.Listener.
 func (s *Sampler) Exec(cycles uint64, t *vm.Task, in *ir.Instr, acc *vm.ArrayVal) {
-	if s.history != nil {
-		r := s.history[t.ID]
-		if r == nil {
-			r = &ring{}
-			s.history[t.ID] = r
-		}
-		r.push(in.Addr)
-	}
 	n := s.counter.Add(cycles)
 	if s.skid.Skid > 0 {
 		s.skid.Push(n)
@@ -188,18 +146,6 @@ func (s *Sampler) takeSample(t *vm.Task, in *ir.Instr, acc *vm.ArrayVal) {
 	}
 	if acc != nil {
 		smp.DataAddr = acc.Addr
-	}
-	// Skid compensation: rewind through the task's retirement history to
-	// the instruction that raised the overflow.
-	if s.compensate && s.skid.Skid > 0 {
-		if r := s.history[t.ID]; r != nil {
-			if a, ok := r.back(s.skid.Skid); ok {
-				smp.Addr = a
-				if len(smp.Stack) > 0 {
-					smp.Stack[0] = a
-				}
-			}
-		}
 	}
 	s.Samples = append(s.Samples, smp)
 }

@@ -176,28 +176,3 @@ func TestStackWalkCountsSpawns(t *testing.T) {
 		t.Errorf("stack walks = %d, want >= 10 (one per spawn)", s.StackWalks)
 	}
 }
-
-func TestSkidCompensationRestoresAttribution(t *testing.T) {
-	// With compensation equal to the injected skid, sample addresses
-	// match the precise (no-skid) run.
-	s0, _ := runSampled(t, parSrc, 1009)
-	sc, _ := runSampled(t, parSrc, 1009, sampler.WithSkid(3), sampler.WithSkidCompensation())
-	n := len(s0.Samples)
-	if len(sc.Samples) < n {
-		n = len(sc.Samples)
-	}
-	if n == 0 {
-		t.Fatal("no samples")
-	}
-	match := 0
-	for i := 0; i < n; i++ {
-		if s0.Samples[i].Addr == sc.Samples[i].Addr {
-			match++
-		}
-	}
-	// Task-switch boundaries can defeat the per-task rewind occasionally;
-	// require a strong majority.
-	if match < n*8/10 {
-		t.Errorf("compensated addresses match precise run for only %d/%d samples", match, n)
-	}
-}
