@@ -38,7 +38,10 @@ type cacheShard struct {
 type cacheEntry struct {
 	key  string
 	out  *Outcome
-	size int64
+	size int64 // out.sizeBytes() plus len(tail)
+	// tail is out's encoded result tail (encodeResultTail), kept from
+	// the first getResult hit on; nil until then.
+	tail []byte
 }
 
 // CacheStats is the aggregated counter snapshot across shards.
@@ -96,17 +99,40 @@ func (c *Cache) shard(key string) *cacheShard {
 // Get returns the cached outcome for key and marks it most recently
 // used.
 func (c *Cache) Get(key string) (*Outcome, bool) {
+	out, _, ok := c.get(key, false)
+	return out, ok
+}
+
+// getResult is Get for a submission served from the cache. It also
+// returns the outcome's encoded result tail, which it encodes on the
+// entry's first such hit and keeps with the entry, counted in the
+// shard's byte budget, so later hits encode nothing. The tail is nil
+// if the entry with it would not fit the budget.
+func (c *Cache) getResult(key string) (*Outcome, []byte, bool) {
+	return c.get(key, true)
+}
+
+func (c *Cache) get(key string, withTail bool) (*Outcome, []byte, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.entries[key]
 	if !ok {
 		s.misses++
-		return nil, false
+		return nil, nil, false
 	}
 	s.hits++
 	s.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).out, true
+	e := el.Value.(*cacheEntry)
+	if withTail && e.tail == nil {
+		if tail, err := encodeResultTail(e.out, nil); err == nil && e.size+int64(len(tail)) <= s.maxBytes {
+			e.tail = append(make([]byte, 0, len(tail)), tail...)
+			e.size += int64(len(tail))
+			s.bytes += int64(len(tail))
+			s.evict()
+		}
+	}
+	return e.out, e.tail, true
 }
 
 // Put inserts (or refreshes) an outcome and evicts cold entries until
@@ -123,12 +149,17 @@ func (c *Cache) Put(key string, out *Outcome) {
 	if el, ok := s.entries[key]; ok {
 		e := el.Value.(*cacheEntry)
 		s.bytes += size - e.size
-		e.out, e.size = out, size
+		e.out, e.size, e.tail = out, size, nil
 		s.ll.MoveToFront(el)
 	} else {
 		s.entries[key] = s.ll.PushFront(&cacheEntry{key: key, out: out, size: size})
 		s.bytes += size
 	}
+	s.evict()
+}
+
+// evict drops cold entries until the shard fits its byte budget.
+func (s *cacheShard) evict() {
 	for s.bytes > s.maxBytes {
 		cold := s.ll.Back()
 		if cold == nil {

@@ -90,8 +90,8 @@ func TestCachePutRefreshes(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrent hammers all shards from many goroutines (run
-// under -race in CI).
+// TestCacheConcurrent hammers all shards from many goroutines, storing
+// result tails too (run under -race in CI).
 func TestCacheConcurrent(t *testing.T) {
 	c := NewCache(1<<20, 8)
 	var wg sync.WaitGroup
@@ -101,9 +101,12 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (g*7+i)%32)
-				if i%3 == 0 {
+				switch i % 3 {
+				case 0:
 					c.Put(key, sizedOutcome(64))
-				} else {
+				case 1:
+					c.getResult(key)
+				default:
 					c.Get(key)
 				}
 			}
@@ -116,5 +119,58 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 	if st.Bytes > st.MaxBytes {
 		t.Fatalf("bytes %d exceeds budget %d", st.Bytes, st.MaxBytes)
+	}
+}
+
+// TestCacheStoresTailOnHit: only getResult stores an entry's result
+// tail; the tail counts in the byte budget, a tail that would not fit
+// is not stored, storing one evicts cold entries as Put does, and
+// re-putting the key drops the old outcome's tail.
+func TestCacheStoresTailOnHit(t *testing.T) {
+	out := sizedOutcome(1000)
+	want, err := encodeResultTail(out, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := out.sizeBytes()
+
+	c := NewCache(2*size+int64(len(want))-1, 1)
+	c.Put("cold", sizedOutcome(1000))
+	c.Put("k", out)
+	c.Get("k")
+	if st := c.Stats(); st.Bytes != 2*size {
+		t.Fatalf("after Get: bytes = %d, want %d (no tail)", st.Bytes, 2*size)
+	}
+	_, tail, ok := c.getResult("k")
+	if !ok || string(tail) != string(want) {
+		t.Fatalf("getResult tail %.80q, want %.80q", tail, want)
+	}
+	if cap(tail) != len(tail) {
+		t.Fatalf("stored tail has cap %d for %d bytes", cap(tail), len(tail))
+	}
+	st := c.Stats()
+	if st.Bytes != size+int64(len(tail)) || st.Evictions != 1 {
+		t.Fatalf("after storing the tail: bytes %d, evictions %d; want %d, 1",
+			st.Bytes, st.Evictions, size+int64(len(tail)))
+	}
+	if _, ok := c.Get("cold"); ok {
+		t.Fatal("the cold entry survived a tail that overfilled the shard")
+	}
+
+	c.Put("k", sizedOutcome(10))
+	if st := c.Stats(); st.Bytes != sizedOutcome(10).sizeBytes() {
+		t.Fatalf("after re-put: bytes = %d, want %d (old tail dropped)", st.Bytes, sizedOutcome(10).sizeBytes())
+	}
+	if _, tail, _ := c.getResult("k"); !strings.Contains(string(tail), `"text": "xxxxxxxxxx",`) {
+		t.Fatalf("re-put key serves a stale tail: %.80q", tail)
+	}
+
+	small := NewCache(size, 1)
+	small.Put("k", out)
+	if _, tail, ok := small.getResult("k"); !ok || tail != nil {
+		t.Fatalf("a tail beyond the budget was stored (ok %v, %d bytes)", ok, len(tail))
+	}
+	if st := small.Stats(); st.Bytes != size || st.Entries != 1 {
+		t.Fatalf("after an unstored tail: %+v", st)
 	}
 }

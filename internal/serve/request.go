@@ -21,10 +21,12 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/analyze"
 	"repro/internal/benchprog"
@@ -306,22 +308,30 @@ func ParseConfigs(args []string) map[string]string {
 // the compile.SourceCached / core.AnalyzeCached key audit).
 func (r *Request) Key() string {
 	h := sha256.New()
+	var n, line []byte
+	write := func(p []byte) {
+		n = binary.LittleEndian.AppendUint64(n[:0], uint64(len(p)))
+		h.Write(n)
+		h.Write(p)
+	}
 	put := func(parts ...string) {
 		for _, p := range parts {
-			var n [8]byte
-			binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-			h.Write(n[:])
-			h.Write([]byte(p))
+			// Hash the string's bytes in place rather than copy the
+			// source on every request: an io.Writer may neither modify
+			// nor retain what it is given.
+			write(unsafe.Slice(unsafe.StringData(p), len(p)))
 		}
 	}
 	put("v1", r.Name, r.Source, r.View, r.FaultSpec)
-	put(fmt.Sprintf("%d|%d|%d|%d|%d|%d|%d|%d",
+	line = fmt.Appendf(line[:0], "%d|%d|%d|%d|%d|%d|%d|%d",
 		r.Locales, r.Cores, r.Limit, r.Threshold, r.Skid,
-		r.SampleBuffer, r.CommCache, r.FaultSeed))
-	put(fmt.Sprintf("%t|%t|%t|%t|%t|%t|%t|%t|%t",
+		r.SampleBuffer, r.CommCache, r.FaultSeed)
+	write(line)
+	line = fmt.Appendf(line[:0], "%t|%t|%t|%t|%t|%t|%t|%t|%t",
 		r.Lint, r.PerLocale, r.NoImplicit, r.NoInterproc, r.Lines,
 		r.CommAggregate, r.NoOwnerComputes, r.FaultSpec != "",
-		r.CommInspector))
+		r.CommInspector)
+	write(line)
 	// Canonical config order: maps iterate randomly.
 	keys := make([]string, 0, len(r.Configs))
 	for k := range r.Configs {
@@ -331,7 +341,7 @@ func (r *Request) Key() string {
 	for _, k := range keys {
 		put(k, r.Configs[k])
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Summary is a short human-readable request descriptor for listings and

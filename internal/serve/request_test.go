@@ -99,6 +99,9 @@ func TestRequestKeyPinned(t *testing.T) {
 		{Request{Bench: "fig1"}, "6a35855df723faae44e72a9e6478445a547bbb169cafa27692af1e678153d5ec"},
 		{Request{Bench: "halo", Locales: 4, CommInspector: true}, "516f4f16ddd101e311a8af63e983838d57bd640bf8e59a11315c334d9a3a7974"},
 		{Request{Bench: "fig1", FaultSpec: "loss=0.05"}, "2c2c4239eb15798eda557f948a1500f488c55ecfe68758d628c41bcbce1858ba"},
+		{Request{Bench: "halo", Locales: 2}, "15b206f065bf9f8c4f339d76814030cfda1bfc04c33bb22e2ef698589904dd3a"},
+		{Request{Bench: "halo", Locales: 2, CommAggregate: true, Configs: map[string]string{"n": "64", "iters": "3"}}, "d7810463e2432058fa3f727fcaed359c6b45f39d90023a75dbfe93bd09c542c7"},
+		{Request{Source: "proc main() { writeln(1); }", Name: "x.mchpl", FaultSpec: "loss=0.1", FaultSeed: 7, Threshold: 501, Limit: -1, View: "code"}, "e5518d2e4d0a5de01de51428a5a477e9bb894ad30d978601fd27b3f2c9db6e05"},
 	} {
 		r := c.req
 		if err := r.Normalize(); err != nil {

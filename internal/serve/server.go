@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,7 +192,7 @@ func (s *Server) register(sess *Session) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	sess.ID = fmt.Sprintf("s-%06d", s.nextID)
+	sess.ID = sessionID(s.nextID)
 	s.sessions[sess.ID] = sess
 	s.order = append(s.order, sess.ID)
 	for len(s.sessions) > s.opts.MaxSessions {
@@ -212,6 +215,18 @@ func (s *Server) register(sess *Session) {
 			break // everything is still live; let it grow
 		}
 	}
+}
+
+// sessionID formats the n-th session's ID: "s-" and the number
+// zero-padded to at least six digits ("s-000042", "s-1000000").
+func sessionID(n uint64) string {
+	var d, b [24]byte
+	digits := strconv.AppendUint(d[:0], n, 10)
+	id := append(b[:0], "s-"...)
+	for i := len(digits); i < 6; i++ {
+		id = append(id, '0')
+	}
+	return string(append(id, digits...))
 }
 
 func (s *Server) session(id string) *Session {
@@ -259,16 +274,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"server is draining; retry against a fresh instance")
 		return
 	}
+	q := r.URL.Query()
 	sess := newSession("", req)
 	sess.onFinish = s.metrics.SessionDone
+	var out *Outcome
+	hit := false
+	if !req.NoCache {
+		out, sess.tail, hit = s.cache.getResult(sess.Key)
+	}
 	s.register(sess)
 
-	if !req.NoCache {
-		if out, hit := s.cache.Get(sess.Key); hit {
-			sess.finish(StateDone, out, nil, true)
-			s.respondSubmit(w, r, sess)
-			return
-		}
+	if hit {
+		sess.finish(StateDone, out, nil, true)
+		s.respondSubmit(w, r, q, sess)
+		return
 	}
 	if err := s.sched.Submit(sess); err != nil {
 		// The session is already finished with err; report why it was
@@ -284,14 +303,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.respondSubmit(w, r, sess)
+	s.respondSubmit(w, r, q, sess)
 }
 
-func (s *Server) respondSubmit(w http.ResponseWriter, r *http.Request, sess *Session) {
-	if r.URL.Query().Get("wait") != "" {
+func (s *Server) respondSubmit(w http.ResponseWriter, r *http.Request, q url.Values, sess *Session) {
+	if q.Get("wait") != "" {
 		select {
 		case <-sess.Done():
-			s.writeResult(w, r, sess)
+			s.writeResult(w, q.Get("format"), sess)
 		case <-r.Context().Done():
 			// Client went away: the session keeps running (it may be
 			// shared); nothing to write.
@@ -355,7 +374,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no such session"))
 		return
 	}
-	if r.URL.Query().Get("wait") != "" {
+	q := r.URL.Query()
+	if q.Get("wait") != "" {
 		select {
 		case <-sess.Done():
 		case <-r.Context().Done():
@@ -366,19 +386,23 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Errorf("session %s is %s", sess.ID, sess.State()))
 		return
 	}
-	s.writeResult(w, r, sess)
+	s.writeResult(w, q.Get("format"), sess)
 }
 
-func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, sess *Session) {
+// writeResult writes a finished session's result in the requested
+// format. The JSON form is resultResponse, written as its per-session
+// head (id, state, cached) followed by its tail: the tail a cache hit
+// brought along, or else one encoded for this call.
+func (s *Server) writeResult(w http.ResponseWriter, format string, sess *Session) {
 	out, err := sess.Result()
-	switch r.URL.Query().Get("format") {
+	switch format {
 	case "text":
 		if out == nil {
 			writeError(w, http.StatusUnprocessableEntity, resultErr(sess, err))
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte(out.Text))
+		io.WriteString(w, out.Text)
 		return
 	case "profile":
 		if out == nil || out.ProfileJSON == nil {
@@ -394,13 +418,39 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, sess *Sessi
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte(out.Output))
+		io.WriteString(w, out.Output)
 		return
 	}
-	resp := resultResponse{ID: sess.ID, State: sess.State()}
+	state := sess.State()
 	sess.mu.Lock()
-	resp.Cached = sess.cached
+	cached, tail := sess.cached, sess.tail
 	sess.mu.Unlock()
+	var encErr error
+	if tail == nil {
+		tail, encErr = encodeResultTail(out, err)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if encErr != nil {
+		return // as writeJSON: an encoding error leaves the body empty
+	}
+	var head [96]byte
+	w.Write(appendResultHead(head[:0], sess.ID, state, cached))
+	w.Write(tail)
+}
+
+// resultHead is how writeJSON opens a resultResponse whose per-session
+// fields are zero: the part of the encoding encodeResultTail cuts off.
+const resultHead = "{\n  \"id\": \"\",\n  \"state\": \"\",\n  \"cached\": false"
+
+// encodeResultTail encodes resultResponse for out and err as writeJSON
+// would and returns what follows its per-session fields: text, output,
+// profile, stats, threshold, samples, error and the closing brace.
+// Those depend on the outcome alone, and a field's indentation depends
+// only on its depth, so the head that appendResultHead writes and this
+// tail concatenate to writeJSON's bytes for any session.
+func encodeResultTail(out *Outcome, err error) ([]byte, error) {
+	var resp resultResponse
 	if err != nil {
 		resp.Error = err.Error()
 	}
@@ -412,7 +462,41 @@ func (s *Server) writeResult(w http.ResponseWriter, r *http.Request, sess *Sessi
 		resp.Threshold = out.Threshold
 		resp.Samples = out.Samples
 	}
-	writeJSON(w, http.StatusOK, resp)
+	var buf bytes.Buffer
+	if err := newJSONEncoder(&buf).Encode(resp); err != nil {
+		return nil, err
+	}
+	b := buf.Bytes()
+	if len(b) < len(resultHead) || string(b[:len(resultHead)]) != resultHead {
+		panic("serve: resultResponse no longer opens with id, state, cached")
+	}
+	return b[len(resultHead):], nil
+}
+
+// appendResultHead appends the opening of a result body, the fields
+// encodeResultTail leaves out, encoded and indented as writeJSON does.
+func appendResultHead(b []byte, id string, state State, cached bool) []byte {
+	b = append(b, "{\n  \"id\": "...)
+	b = appendJSONString(b, id)
+	b = append(b, ",\n  \"state\": "...)
+	b = appendJSONString(b, string(state))
+	b = append(b, ",\n  \"cached\": "...)
+	return strconv.AppendBool(b, cached)
+}
+
+// appendJSONString appends s as a JSON string. Session IDs and states
+// need no escaping and are copied between quotes; any other string goes
+// through json.Marshal, which escapes as writeJSON's encoder does.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 func resultErr(sess *Session, err error) error {
@@ -522,7 +606,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.metrics.SessionDone(StateDone, out, time.Since(start))
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte(out.Text))
+		io.WriteString(w, out.Text)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -627,9 +711,15 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	newJSONEncoder(w).Encode(v)
+}
+
+// newJSONEncoder returns the encoder of every JSON reply: two-space
+// indent, HTML escaping on.
+func newJSONEncoder(w io.Writer) *json.Encoder {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	return enc
 }
 
 // apiError is the uniform error envelope every endpoint returns:

@@ -47,9 +47,13 @@ type Session struct {
 	finished time.Time
 	deadline time.Time // zero = none
 	timer    *time.Timer
-	subs     map[chan Event]bool
+	subs     map[chan Event]bool // nil until the first Subscribe
 	history  []Event
 	done     chan struct{}
+
+	// tail is a cache hit's memoized result tail (Cache.getResult), or
+	// nil to encode it per request. Set before the session is shared.
+	tail []byte
 
 	// detach unhooks the session from its job on cancel/expiry; set by
 	// the scheduler at submit time.
@@ -68,7 +72,6 @@ func newSession(id string, req *Request) *Session {
 		Key:     req.Key(),
 		state:   StateQueued,
 		created: time.Now(),
-		subs:    make(map[chan Event]bool),
 		done:    make(chan struct{}),
 	}
 	if req.DeadlineMs > 0 {
@@ -153,6 +156,9 @@ func (s *Session) Subscribe() (<-chan Event, func()) {
 	}
 	terminal := s.state.Terminal()
 	if !terminal {
+		if s.subs == nil {
+			s.subs = make(map[chan Event]bool)
+		}
 		s.subs[ch] = true
 	}
 	s.mu.Unlock()
